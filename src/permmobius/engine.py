@@ -195,11 +195,9 @@ class MobiusEngine:
         self,
         cache: Optional[MobiusCache] = None,
         downset_cap: int = DEFAULT_DOWNSET_CAP,
-        max_cached_upper_len: Optional[int] = None,
     ):
         self.cache = cache if cache is not None else MobiusCache()
         self.downset_cap = downset_cap
-        self.max_cached_upper_len = max_cached_upper_len
         self.stats = {"naive_fallbacks": 0, "theorem_calls": 0}
         # Candidate lists (alpha index, alpha, r, weight) per upper bound.
         self._candidates: OrderedDict[
@@ -397,10 +395,14 @@ class MobiusEngine:
             return 0
         if slen == 0:
             return -1 if plen == 1 else 0
-        key = (sigma.key, pi.key)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
+        # Only auto values are cached: an explicit engine must compute (or
+        # refuse) on its own, never answer with another route's value.
+        use_cache = engine == "auto"
+        if use_cache:
+            key = (sigma.key, pi.key)
+            cached = self.cache.get(key)
+            if cached is not None:
+                return cached
         if not contains(sigma, pi):
             return 0
         if plen - slen == 1:
@@ -409,7 +411,7 @@ class MobiusEngine:
             # Containment inside a chain with a length gap >= 2.
             return 0
         value = self._route(sigma, pi, engine)
-        if self.max_cached_upper_len is None or plen <= self.max_cached_upper_len:
+        if use_cache:
             self.cache.put(key, value)
         return value
 

@@ -11,6 +11,12 @@ is available, where n is the class parameter of the upper bound.
 All minimum/maximum block counts, minimal copy counts and weights below are
 closed-form consequences of those inequalities; no pattern matching is
 performed on this path.
+
+mu(sigma, W_n / M_n) is filled, for every oscillation sigma, by one O(n log n)
+divisor scan (``_divisor_scan``): a chain member with copy cost q has a
+nonzero weight only when q divides t or t - 2, where t = 2n - b, so each
+value costs one pass over the even divisors of two numbers.  The principal
+series mu(1, W_n) = mu(1, M_n) is the sigma = 1 instance of the same scan.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .perms import (
 
 __all__ = [
     "PiClass",
-    "EmbeddingBudget",
     "pi_class_of",
     "shape_of_pi",
     "min_points",
@@ -109,28 +114,36 @@ def pi_class_of(id: OscillationId) -> PiClass:
     return PiClass(kind, (id.n + 1) // 2)
 
 
+# Chain shapes (every shape but the bare 21): the extra cost c of the copy
+# cost q = 2k + c of the k-block member, and that member's oscillation kind
+# and length offset (the member is kind_{q + offset}).
+_CHAINS = {
+    PLAIN: (2, "W", -2),
+    LEFT_CAPPED: (2, "M", -1),
+    RIGHT_CAPPED: (2, "W", -1),
+    BOTH_CAPPED: (4, "M", -2),
+}
+
+# The chain shape of an upper bound of each class; its top member is the
+# upper bound itself and is excluded from every sum.
+_OWN_CHAIN = {W_EVEN: PLAIN, W_ODD: RIGHT_CAPPED, M_EVEN: BOTH_CAPPED, M_ODD: LEFT_CAPPED}
+
+
 def shape_of_pi(pi: PiClass) -> Optional[Shape]:
     """The Shape realizing the upper bound (None for length 1)."""
     if pi.length == 1:
         return None
     if pi.length == 2:
         return Shape(SINGLE21)
-    if pi.kind == W_EVEN:
-        return Shape(PLAIN, pi.n)
-    if pi.kind == W_ODD:
-        return Shape(RIGHT_CAPPED, pi.n - 1)
-    if pi.kind == M_EVEN:
-        return Shape(BOTH_CAPPED, pi.n - 1)
-    return Shape(LEFT_CAPPED, pi.n - 1)
+    kind = _OWN_CHAIN[pi.kind]
+    return Shape(kind, pi.n if kind == PLAIN else pi.n - 1)
 
 
 # Per-copy point cost of a shape as a direct-sum block.
 def _copy_cost(kind: str, k: int) -> int:
     if kind == SINGLE21:
         return 3
-    if kind == BOTH_CAPPED:
-        return 2 * k + 4
-    return 2 * k + 2
+    return 2 * k + _CHAINS[kind][0]
 
 
 # Offset b of the containment inequality  q*r + b + 2*caps <= 2n,
@@ -149,31 +162,12 @@ def _offset(shape_kind: str, pi: PiClass) -> int:
     return _B_OFFSET.get((shape_kind, pi.kind), 0)
 
 
-@dataclass(frozen=True)
-class EmbeddingBudget:
-    """Point accounting for embedding r copies of a shape into an upper bound."""
-
-    shape: Shape
-    k: int
-    r: int
-    pi: PiClass
-    min_points: int
-
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise PreconditionViolation(f"copy count must be >= 1, got {self.r}")
-
-
 def min_points(shape: Shape, r: int, pi: PiClass) -> int:
     """Minimum number of points of the upper bound consumed by r uncapped
     direct-sum copies of the shape."""
     if r < 1:
         raise PreconditionViolation(f"copy count must be >= 1, got {r}")
     return _copy_cost(shape.kind, shape.k) * r + _offset(shape.kind, pi)
-
-
-def embedding_budget(shape: Shape, r: int, pi: PiClass) -> EmbeddingBudget:
-    return EmbeddingBudget(shape, shape.k, r, pi, min_points(shape, r, pi))
 
 
 def fits_in_pi(
@@ -258,12 +252,18 @@ def min_k(sigma: Permutation, shape_kind: str) -> int:
     return max(raw_min_k(sigma, shape_kind), structural)
 
 
+def _class_min_k(shape_kind: str, cls: Optional[PiClass]) -> int:
+    """_engine_min_k for a lower bound of class cls (None for sigma = 1)."""
+    structural = _structural_min_k(shape_kind)
+    if cls is None:
+        return structural
+    return max(_raw_min_k_table(shape_kind, cls.kind, cls.n), structural)
+
+
 def _engine_min_k(sigma: Permutation, shape_kind: str) -> int:
     """Smallest block count whose term can be nonzero in the shape sum."""
-    structural = _structural_min_k(shape_kind)
-    if len(sigma.values) == 1:
-        return structural
-    return max(raw_min_k(sigma, shape_kind), structural)
+    cls = None if len(sigma.values) == 1 else sigma_class(sigma)
+    return _class_min_k(shape_kind, cls)
 
 
 def max_k(shape_kind: str, pi: PiClass) -> int:
@@ -284,63 +284,43 @@ def max_k(shape_kind: str, pi: PiClass) -> int:
     return max(k, 0)
 
 
-def min_r_osc(shape_kind: str, k: int, pi: PiClass) -> int:
-    """Smallest copy count r whose doubly-capped family member no longer
-    fits: the least r with q*r > 2n - b - 4, solved in closed form."""
+def _rank_and_weight(shape_kind: str, k: int, pi: PiClass) -> tuple[int, int]:
+    """Minimal copy count r of the shape's k-block member (the least r >= 1
+    whose doubly-capped family member no longer fits: q*r > 2n - b - 4) and
+    its reported weight at that r: +1 when even the uncapped r copies no
+    longer fit, -1 when r copies fit but r+1 do not, 0 otherwise."""
     q = _copy_cost(shape_kind, k)
     t = pi.budget - _offset(shape_kind, pi)
-    return max(1, (t - 4) // q + 1)
+    r = max(1, (t - 4) // q + 1)
+    if q * r > t:
+        return r, 1
+    if q * (r + 1) > t:
+        return r, -1
+    return r, 0
+
+
+def min_r_osc(shape_kind: str, k: int, pi: PiClass) -> int:
+    """Smallest copy count r whose doubly-capped family member no longer
+    fits, solved in closed form."""
+    return _rank_and_weight(shape_kind, k, pi)[0]
 
 
 def weight_osc(sigma: Permutation, shape_kind: str, k: int, pi: PiClass) -> int:
-    """Reported weight of the shape's k-block member, at r = min_r_osc:
-    +1 when even the uncapped r copies no longer fit, -1 when r copies fit
-    but r+1 do not, 0 otherwise."""
+    """Reported weight of the shape's k-block member, at r = min_r_osc."""
     if not (min_k(sigma, shape_kind) <= k <= max_k(shape_kind, pi)):
         raise PreconditionViolation(
             f"block count {k} outside [{min_k(sigma, shape_kind)}, "
             f"{max_k(shape_kind, pi)}] for {shape_kind}"
         )
-    q = _copy_cost(shape_kind, k)
-    t = pi.budget - _offset(shape_kind, pi)
-    r = max(1, (t - 4) // q + 1)
-    if q * r > t:
-        return 1
-    if q * (r + 1) > t:
-        return -1
-    return 0
-
-
-def _weight_signed(shape_kind: str, k: int, pi: PiClass) -> int:
-    """Signed summation weight of the shape's k-block member.
-
-    Together with the leading minus of the recursion this reproduces the
-    reported weights: a member whose singly-capped extension already fails
-    to fit contributes with opposite sign to one that only fails at r+1.
-    """
-    q = _copy_cost(shape_kind, k)
-    t = pi.budget - _offset(shape_kind, pi)
-    r = max(1, (t - 4) // q + 1)
-    if q * r > t:
-        return 0
-    if q * r > t - 2:
-        return 1
-    if q * (r + 1) > t:
-        return -1
-    return 0
+    return _rank_and_weight(shape_kind, k, pi)[1]
 
 
 # Oscillation realized by a shape's k-block member.
 def _shape_member_id(shape_kind: str, k: int) -> OscillationId:
     if shape_kind == SINGLE21:
         return OscillationId("W", 2)
-    if shape_kind == PLAIN:
-        return OscillationId("W", 2 * k)
-    if shape_kind == LEFT_CAPPED:
-        return OscillationId("M", 2 * k + 1)
-    if shape_kind == RIGHT_CAPPED:
-        return OscillationId("W", 2 * k + 1)
-    return OscillationId("M", 2 * k + 2)
+    extra, kind, offset = _CHAINS[shape_kind]
+    return OscillationId(kind, 2 * k + extra + offset)
 
 
 _memo: dict[tuple[bytes, str, int], int] = {}
@@ -361,44 +341,89 @@ def _sigma_leq_osc(sigma: Permutation, id: OscillationId) -> bool:
     return True
 
 
-def _mu_osc_filled(sigma: Permutation, id: OscillationId) -> int:
-    """Memoized mu(sigma, oscillation); all shorter entries must be present."""
-    length = id.n
-    slen = len(sigma.values)
-    if length < slen:
-        return 0
-    if length == slen:
-        return 1 if sigma == oscillation(id) else 0
-    if length == slen + 1:
-        return -1
-    key = (sigma.key, id.kind, id.n)
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    pi = pi_class_of(id)
-    total = 0
-    for shape_kind in SHAPE_KINDS:
-        lo = _engine_min_k(sigma, shape_kind)
-        hi = max_k(shape_kind, pi)
-        for k in range(lo, hi + 1):
-            w = _weight_signed(shape_kind, k, pi)
-            if w:
-                member = _shape_member_id(shape_kind, k)
-                total += w * _mu_osc_filled(sigma, member)
-    if abs(total) >= _INT64_GUARD:
-        raise Overflow("oscillation Möbius value exceeds the 64-bit guard")
-    value = -total
-    _memo[key] = value
-    return value
-
-
 def _fill_memo(sigma: Permutation, up_to: int) -> None:
-    """Populate the memo for both classes at every length, shortest first,
-    so evaluation never recurses deeply."""
-    start = len(sigma.values) + 2
-    for length in range(start, up_to + 1):
-        for kind in ("W", "M"):
-            _mu_osc_filled(sigma, OscillationId(kind, length))
+    """Populate the memo for both kinds at every missing length up to up_to,
+    shortest first, by one divisor scan.
+
+    The memo holds, for each sigma, both kinds at every length from
+    |sigma| + 2 up to some length, so only the lengths above the longest
+    one present are computed.
+    """
+    skey = sigma.key
+    slen = len(sigma.values)
+    done = up_to
+    while done > slen + 1 and (skey, "M", done) not in _memo:
+        done -= 1
+    if done == up_to:
+        return
+    cls = sigma_class(sigma)
+    # A summed member of sigma's own length contains sigma (it passes the
+    # block-count threshold), so it is sigma and its value is 1.
+    values = {
+        kind: [0] * slen
+        + [1, -1]
+        + [_memo[(skey, kind, n)] for n in range(slen + 2, done + 1)]
+        for kind in "WM"
+    }
+    _divisor_scan(values, "WM", up_to, cls, _even_divisor_lists(up_to + 4))
+    for n in range(done + 1, up_to + 1):
+        for kind in "WM":
+            _memo[(skey, kind, n)] = values[kind][n]
+
+
+def _divisor_scan(
+    values: dict[str, list[int]],
+    kinds: str,
+    up_to: int,
+    cls: Optional[PiClass],
+    divs: list[list[int]],
+) -> None:
+    """Extend values[kind] = [mu(sigma, kind_0), mu(sigma, kind_1), ...] for
+    each of the given kinds up to length up_to, where sigma is the lower
+    bound of class cls (None for sigma = 1) and divs comes from
+    _even_divisor_lists(up_to + 4).
+
+    For a chain shape the copy cost q = 2k + c is even, and so is t = 2n - b.
+    With r the least copy count with q*r > t - 4, a member's signed weight
+    is +1 when q*r lies in (t - 2, t] and -1 when it lies in (t - 4, t - 2];
+    as q >= 4, that is: +1 when q divides t, -1 when q divides t - 2.  The
+    summed members are those with q >= 2 * _engine_min_k + c, except the
+    upper bound's own member (q = t in its own shape).  The bare 21 has
+    q = 3 and is resolved by (t - 4) mod 3.
+    """
+    with_21 = _class_min_k(SINGLE21, cls) <= 1
+    chains = [
+        (shape_kind, values[kind], offset, 2 * _class_min_k(shape_kind, cls) + extra)
+        for shape_kind, (extra, kind, offset) in _CHAINS.items()
+    ]
+    single21 = values["W"]
+    for n in range(len(values[kinds[0]]), up_to + 1):
+        even = n % 2 == 0
+        budget = n if even else n + 1
+        for kind in kinds:
+            if kind == "W":
+                pi_kind = W_EVEN if even else W_ODD
+            else:
+                pi_kind = M_EVEN if even else M_ODD
+            own_shape = _OWN_CHAIN[pi_kind]
+            total = 0
+            if with_21:
+                s = (budget - _B_OFFSET.get((SINGLE21, pi_kind), 0) - 4) % 3
+                if s == 0:
+                    total += single21[2]
+                elif s == 1:
+                    total -= single21[2]
+            for shape_kind, member, offset, q_min in chains:
+                t = budget - _B_OFFSET.get((shape_kind, pi_kind), 0)
+                for val, sign in ((t, 1), (t - 2, -1)):
+                    if val < q_min:
+                        continue
+                    for q in divs[val]:
+                        if q >= q_min and (q != t or shape_kind != own_shape):
+                            total += sign * member[q + offset]
+            if abs(total) >= _INT64_GUARD:
+                raise Overflow("oscillation Möbius value exceeds the 64-bit guard")
+            values[kind].append(-total)
 
 
 def _resolve_upper(pi: Union[OscillationId, Permutation]) -> OscillationId:
@@ -411,10 +436,7 @@ def _resolve_upper(pi: Union[OscillationId, Permutation]) -> OscillationId:
         shape = classify_oscillation(pi)
         if shape is None:
             raise NotAnOscillation(f"{pi} is not an increasing oscillation")
-        id = _shape_member_id(shape.kind, shape.k)
-        if shape.kind == SINGLE21:
-            id = OscillationId("W", 2)
-        return id
+        return _shape_member_id(shape.kind, shape.k)
     raise NotAnOscillation(f"cannot interpret {pi!r} as an oscillation")
 
 
@@ -436,9 +458,11 @@ def mobius_oscillation(
         )
     if not _sigma_leq_osc(sigma, id):
         raise NotContained(f"{sigma} is not contained in the upper bound")
-    if id.n - len(sigma.values) >= 2 and id.n >= 4:
-        _fill_memo(sigma, id.n)
-    return _mu_osc_filled(sigma, id)
+    gap = id.n - len(sigma.values)
+    if gap < 2:
+        return -1 if gap else 1
+    _fill_memo(sigma, id.n)
+    return _memo[(sigma.key, id.kind, id.n)]
 
 
 def trace_oscillation(
@@ -461,10 +485,7 @@ def trace_oscillation(
             member = _shape_member_id(shape_kind, k)
             if not _sigma_leq_osc(sigma, member):
                 continue
-            q = _copy_cost(shape_kind, k)
-            t = pic.budget - _offset(shape_kind, pic)
-            r = max(1, (t - 4) // q + 1)
-            w = 1 if q * r > t else (-1 if q * (r + 1) > t else 0)
+            r, w = _rank_and_weight(shape_kind, k, pic)
             mu = mobius_oscillation(sigma, member)
             alpha = realize_shape(Shape(shape_kind, k))
             rows.append(f"alpha={alpha} r={r} weight={w} mu={mu}")
@@ -493,57 +514,12 @@ def _even_divisor_lists(limit: int) -> list[list[int]]:
 
 
 def _extend_principal(n_max: int) -> None:
-    """Fill the principal series up to length n_max by the closed-form
-    divisor scan.
-
-    For every shape other than the bare 21 the copy cost q is even and at
-    least q_min; with t = 2n - b, a member contributes +1 exactly when some
-    multiple of q lands in (t-2, t] (q divides t or t-1) and -1 exactly when
-    the minimal multiple beyond t-4 lands in (t-4, t-2] (q divides t-2 or
-    t-3).  The bare-21 shape has q = 3 and is resolved by (t-4) mod 3.
-    The member matching the upper bound's own shape and block count is
-    excluded.
-    """
+    """Fill the principal series up to length n_max by the divisor scan;
+    mu(1, W_n) = mu(1, M_n), so one array serves as both kinds."""
     mu = _principal
     if n_max < len(mu):
         return
-    divs = _even_divisor_lists(n_max + 4)
-    for n in range(len(mu), n_max + 1):
-        even = n % 2 == 0
-        budget = n if even else n + 1
-        pi_kind = W_EVEN if even else W_ODD
-        pi_shape_kind = PLAIN if even else RIGHT_CAPPED
-        pi_k = n // 2 if even else (n - 1) // 2
-        total = 0
-
-        # Bare 21 as a direct-sum block: q = 3.
-        t = budget - _B_OFFSET.get((SINGLE21, pi_kind), 0)
-        s = (t - 4) % 3
-        if s == 0:
-            total += mu[2]
-        elif s == 1:
-            total -= mu[2]
-
-        for shape_kind, q_min, cap_cost, len_off in (
-            (PLAIN, 6, 2, -2),
-            (LEFT_CAPPED, 4, 2, -1),
-            (RIGHT_CAPPED, 4, 2, -1),
-            (BOTH_CAPPED, 6, 4, -2),
-        ):
-            t = budget - _B_OFFSET.get((shape_kind, pi_kind), 0)
-            for val, sign in ((t, 1), (t - 1, 1), (t - 2, -1), (t - 3, -1)):
-                if val < q_min:
-                    continue
-                for q in divs[val]:
-                    if q < q_min:
-                        continue
-                    k = (q - cap_cost) // 2
-                    if shape_kind == pi_shape_kind and k == pi_k:
-                        continue
-                    total += sign * mu[q + len_off]
-        if abs(total) >= _INT64_GUARD:
-            raise Overflow("principal series value exceeds the 64-bit guard")
-        mu.append(-total)
+    _divisor_scan({"W": mu, "M": mu}, "W", n_max, None, _even_divisor_lists(n_max + 4))
 
 
 def _principal_value(length: int) -> int:

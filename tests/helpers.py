@@ -101,3 +101,127 @@ def sum_components_ref(vals: tuple[int, ...]) -> list[tuple[int, ...]]:
             comps.append(standardize_ref(vals[start : i + 1]))
             start = i + 1
     return comps
+
+
+# ---------------------------------------------------------------------------
+# Oscillation recursion, one term per block count
+# ---------------------------------------------------------------------------
+
+# Offset b of the containment inequality q*r + b + 2*caps <= 2n, per
+# (shape, upper-bound class); omitted pairs have b = 0.
+_OSC_OFFSET = {
+    ("Single21", "W_even"): -1,
+    ("Single21", "M_even"): -1,
+    ("Plain", "W_even"): -2,
+    ("LeftCapped", "W_odd"): 2,
+    ("RightCapped", "M_odd"): 2,
+    ("BothCapped", "M_even"): -2,
+}
+
+# Shape of each upper-bound class (of length > 2); its largest fitting
+# member is the upper bound itself.
+_OSC_OWN = {
+    "W_even": "Plain",
+    "W_odd": "RightCapped",
+    "M_even": "BothCapped",
+    "M_odd": "LeftCapped",
+}
+
+_OSC_SHAPES = ("Single21", "Plain", "LeftCapped", "RightCapped", "BothCapped")
+
+
+def _osc_class(kind: str, length: int) -> tuple[str, int]:
+    if length % 2 == 0:
+        return f"{kind}_even", length // 2
+    return f"{kind}_odd", (length + 1) // 2
+
+
+def _osc_copy_cost(shape: str, k: int) -> int:
+    if shape == "Single21":
+        return 3
+    return 2 * k + (4 if shape == "BothCapped" else 2)
+
+
+def _osc_member(shape: str, k: int) -> tuple[str, int]:
+    """(kind, length) of the oscillation realized by the k-block member."""
+    if shape == "Single21":
+        return "W", 2
+    if shape == "Plain":
+        return "W", 2 * k
+    if shape == "LeftCapped":
+        return "M", 2 * k + 1
+    if shape == "RightCapped":
+        return "W", 2 * k + 1
+    return "M", 2 * k + 2
+
+
+def _osc_max_k(shape: str, cls: str, n: int) -> int:
+    """Largest block count that fits at r = 1, without the upper bound's
+    own member."""
+    t = 2 * n - _OSC_OFFSET.get((shape, cls), 0)
+    if shape == "Single21":
+        k = 1 if 3 <= t else 0
+    else:
+        k = (t - _osc_copy_cost(shape, 0)) // 2
+    if shape == _OSC_OWN[cls]:
+        k -= 1
+    return max(k, 0)
+
+
+def _osc_weight_signed(shape: str, k: int, cls: str, n: int) -> int:
+    """Signed weight of the k-block member in mu(sigma, upper bound)."""
+    q = _osc_copy_cost(shape, k)
+    t = 2 * n - _OSC_OFFSET.get((shape, cls), 0)
+    r = max(1, (t - 4) // q + 1)
+    if q * r > t:
+        return 0
+    if q * r > t - 2:
+        return 1
+    if q * (r + 1) > t:
+        return -1
+    return 0
+
+
+def osc_min_k_ref(sigma: tuple[int, ...], shape: str) -> int:
+    """Smallest block count whose realized shape contains sigma, found by
+    exhaustive subsequence search (a large sentinel when none does)."""
+    from permmobius import Shape, realize_shape
+
+    if shape == "Single21":
+        return 1 if contains_ref(sigma, (2, 1)) else 1 << 30
+    k = 2 if shape == "Plain" else 1
+    while 2 * k <= len(sigma) + 2:
+        if contains_ref(sigma, realize_shape(Shape(shape, k)).values):
+            return k
+        k += 1
+    return 1 << 30
+
+
+def mobius_osc_ref(sigma: tuple[int, ...], up_to: int) -> dict[tuple[str, int], int]:
+    """mu(sigma, W_n) and mu(sigma, M_n), keyed (kind, n), for an increasing
+    oscillation sigma of length >= 2 and |sigma| <= n <= up_to.
+
+    Every value is minus the sum, over each shape and every block count k
+    between sigma's minimal block count and the largest one that fits, of
+    the member's signed weight times its own (shorter) value: O(n^2) terms
+    per sigma.
+    """
+    from permmobius import OscillationId, oscillation
+
+    slen = len(sigma)
+    lows = {shape: osc_min_k_ref(sigma, shape) for shape in _OSC_SHAPES}
+    mu: dict[tuple[str, int], int] = {}
+    for kind in "WM":
+        mu[kind, slen] = 1 if oscillation(OscillationId(kind, slen)).values == sigma else 0
+        mu[kind, slen + 1] = -1
+    for length in range(slen + 2, up_to + 1):
+        for kind in "WM":
+            cls, n = _osc_class(kind, length)
+            total = 0
+            for shape in _OSC_SHAPES:
+                for k in range(lows[shape], _osc_max_k(shape, cls, n) + 1):
+                    w = _osc_weight_signed(shape, k, cls, n)
+                    if w:
+                        total += w * mu[_osc_member(shape, k)]
+            mu[kind, length] = -total
+    return mu

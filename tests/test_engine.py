@@ -276,8 +276,6 @@ def test_dispatcher_engine_selection():
     assert mobius(sigma, pi, engine="auto") == 6
     with pytest.raises(PreconditionViolation):
         mobius(sigma, pi, engine="bogus")
-    # the shared dispatcher serves cached values before routing, so the
-    # oscillation guard is observed on a fresh engine
     with pytest.raises(NotAnOscillation):
         MobiusEngine().mobius(ONE, P("2143"), engine="oscillation")
 
@@ -304,6 +302,20 @@ def test_engine_results_do_not_depend_on_cache_state():
         first = warm.mobius(sigma, pi)
         assert warm.mobius(sigma, pi) == first
         assert MobiusEngine().mobius(sigma, pi) == first
+
+
+def test_cached_auto_value_does_not_answer_for_another_engine():
+    sigma, pi = P("21"), P("369258147")
+    with pytest.raises(NotAnOscillation):
+        MobiusEngine().mobius(sigma, pi, engine="oscillation")
+    warm = MobiusEngine()
+    assert warm.mobius(sigma, pi) == -6
+    with pytest.raises(NotAnOscillation):
+        warm.mobius(sigma, pi, engine="oscillation")
+    assert warm.mobius(sigma, pi, engine="general") == -6
+    # an explicit engine's own value is not cached either
+    warm.mobius(ONE, P("24153"), engine="general")
+    assert warm.cache.get((ONE.key, P("24153").key)) is None
 
 
 def test_tiny_cache_budget_still_computes_correct_values():

@@ -33,7 +33,10 @@ from permmobius import (
     trace_oscillation,
     weight_osc,
 )
+from permmobius.oscillation_fast import clear_oscillation_memo
 from permmobius.perms import SHAPE_KINDS
+
+from helpers import mobius_osc_ref
 
 P = parse_permutation
 
@@ -374,3 +377,32 @@ def test_trace_marks_empty_shape_ranges():
     assert "shape=Plain no possibilities" in lines
     assert "shape=BothCapped no possibilities" in lines
     assert "alpha=2 1 r=1 weight=-1 mu=1" in lines
+
+
+# ---------------------------------------------------------- divisor scan
+
+
+def test_divisor_scan_matches_the_per_block_count_recursion():
+    # every oscillation sigma of length 2..12, both upper-bound kinds, on a
+    # cleared memo: once queried in ascending order, once with W_150 first
+    top = 150
+    sigmas = []
+    for length in range(2, 13):
+        for kind in "WM":
+            sigma = oscillation(OscillationId(kind, length))
+            if sigma not in sigmas:
+                sigmas.append(sigma)
+    assert len(sigmas) == 21
+    for sigma in sigmas:
+        expected = mobius_osc_ref(sigma.values, top)
+        ids = [
+            OscillationId(kind, n)
+            for n in range(len(sigma), top + 1)
+            for kind in "WM"
+            if n > len(sigma) or oscillation(OscillationId(kind, n)) == sigma
+        ]
+        for order in (ids, [OscillationId("W", top)] + ids):
+            clear_oscillation_memo()
+            got = {(id.kind, id.n): mobius_oscillation(sigma, id) for id in order}
+            want = {key: expected[key] for key in got}
+            assert got == want, sigma
