@@ -1,23 +1,28 @@
 """General Möbius computation and the engine dispatcher.
 
-Decomposable upper bounds are reduced by the component recursions
-(``mobius_prop1`` / ``mobius_prop2`` / ``mobius_cor3``).  Indecomposable
-upper bounds use the weighted contributing-set recursion
-(``mobius_theorem``): mu(sigma, pi) is minus the sum of mu(sigma, alpha)
-times a {-1, 0, +1} weight over the sum-indecomposable alpha strictly
-below pi, where the weight of alpha depends on which of the direct-sum
-family members built from alpha still embed in pi.  Increasing-oscillation
-upper bounds are routed to the inequality-only fast path.
+``MobiusEngine.mobius`` routes each query.  Decomposable upper bounds are
+reduced by the component recursions (the methods ``mobius_prop1`` /
+``mobius_prop2`` / ``mobius_cor3``).  Indecomposable upper bounds use the
+weighted contributing-set recursion (the method ``mobius_theorem``):
+mu(sigma, pi) is minus the sum of mu(sigma, alpha) times a {-1, 0, +1}
+weight over the sum-indecomposable alpha strictly below pi, where the
+weight of alpha depends on which of the direct-sum family members built
+from alpha still embed in pi.  One helper, ``_rank_and_weight``, computes
+that rank and weight for the candidate lists (against the downset index)
+and for ``min_r_general`` / ``weight_general`` (against the matcher).
+Increasing-oscillation upper bounds are routed to the inequality-only
+fast path.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
-from .errors import PreconditionViolation, TooLarge
+from .errors import EmptyOperand, PreconditionViolation, TooLarge
 from .oscillation_fast import mobius_oscillation
 from .perms import (
     Permutation,
@@ -36,12 +41,7 @@ __all__ = [
     "MobiusEngine",
     "min_r_general",
     "weight_general",
-    "contributing_set",
     "mobius",
-    "mobius_theorem",
-    "mobius_prop1",
-    "mobius_prop2",
-    "mobius_cor3",
     "default_engine",
 ]
 
@@ -111,12 +111,8 @@ class WeightedContribution:
 
 
 # ---------------------------------------------------------------------------
-# Weight function on the general path
+# Rank and weight on the general path
 # ---------------------------------------------------------------------------
-
-
-def _shift(vals: tuple[int, ...], offset: int) -> tuple[int, ...]:
-    return tuple(v + offset for v in vals)
 
 
 def _iterated_sum_vals(alpha: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -127,36 +123,44 @@ def _iterated_sum_vals(alpha: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _rank_and_weight(
+    a: tuple[int, ...], n: int, has: Callable[[tuple[int, ...]], bool]
+) -> tuple[int, int]:
+    """Minimal copy count r and weight of alpha (values a) below an upper
+    bound of length n, as min_r_general and weight_general define them.
+    has(vals) tells whether vals lies in the upper bound; it is asked only
+    for len(vals) < n, so a family member counts only when strictly below."""
+    if not a:
+        raise EmptyOperand("alpha must be nonempty")
+
+    def below(vals: tuple[int, ...]) -> bool:
+        return len(vals) < n and has(vals)
+
+    # The capped stack outgrows the upper bound, so the loop ends.
+    for r in itertools.count(1):
+        stack = _iterated_sum_vals(a, r)
+        left = (1,) + tuple(v + 1 for v in stack)
+        if not below(left + (len(stack) + 2,)):
+            break
+    weight = (
+        below(stack)
+        - below(left)
+        - below(stack + (len(stack) + 1,))
+        + below(_iterated_sum_vals(a, r + 1))
+    )
+    return r, weight
+
+
+def _contained_in(pi: Permutation) -> Callable[[tuple[int, ...]], bool]:
+    return lambda vals: contains(Permutation._wrap(vals), pi)
+
+
 def min_r_general(alpha: Permutation, pi: Permutation) -> int:
     """Smallest r >= 1 such that 1 + (r copies of alpha) + 1 (direct sums)
-    is not strictly below pi; bounded by |pi| // |alpha| + 1.  Strictness
-    matters when pi itself has that capped-stack form: the capped stack then
-    falls outside the half-open interval the recursion sums over."""
-    a = alpha.values
-    n = len(pi.values)
-    block = len(a)
-    for r in range(1, n // block + 2):
-        stack = _iterated_sum_vals(a, r)
-        capped = (1,) + _shift(stack, 1) + (len(stack) + 2,)
-        if len(capped) >= n or not contains(Permutation._wrap(capped), pi):
-            return r
-    raise PreconditionViolation(
-        f"no terminating copy count for {alpha} inside {pi}"
-    )
-
-
-def _weight_from_tests(
-    stack_below: bool,
-    left_below: bool,
-    right_below: bool,
-    longer_below: bool,
-) -> int:
-    return (
-        (1 if stack_below else 0)
-        - (1 if left_below else 0)
-        - (1 if right_below else 0)
-        + (1 if longer_below else 0)
-    )
+    is not strictly below pi.  Strictness matters when pi itself has that
+    capped-stack form: the capped stack then falls outside the half-open
+    interval the recursion sums over."""
+    return _rank_and_weight(alpha.values, len(pi.values), _contained_in(pi))[0]
 
 
 def weight_general(sigma: Permutation, alpha: Permutation, pi: Permutation) -> int:
@@ -164,22 +168,7 @@ def weight_general(sigma: Permutation, alpha: Permutation, pi: Permutation) -> i
     S the direct sum of r copies of alpha, counts which of S, 1+S, S+1
     and the (r+1)-copy stack are strictly below pi (inclusion-exclusion
     over the direct-sum family built from alpha)."""
-    a = alpha.values
-    p = pi.values
-    r = min_r_general(alpha, pi)
-
-    def strictly_below(vals: tuple[int, ...]) -> bool:
-        if len(vals) >= len(p):
-            return False
-        return contains(Permutation._wrap(vals), pi)
-
-    stack = _iterated_sum_vals(a, r)
-    return _weight_from_tests(
-        strictly_below(stack),
-        strictly_below((1,) + _shift(stack, 1)),
-        strictly_below(stack + (len(stack) + 1,)),
-        strictly_below(_iterated_sum_vals(a, r + 1)),
-    )
+    return _rank_and_weight(alpha.values, len(pi.values), _contained_in(pi))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -216,31 +205,13 @@ class MobiusEngine:
             return cached
         ctx = _downset_ctx(pi)
         n = len(pi.values)
-        index = ctx.index
-
-        def strictly_below(vals: tuple[int, ...]) -> bool:
-            return len(vals) < n and vals in index
-
+        has = ctx.index.__contains__
         out: list[tuple[int, Permutation, int, int]] = []
         for idx, member in enumerate(ctx.members):
             a = member.values
-            block = len(a)
-            if block == 0 or block >= n or not is_sum_indecomposable(member):
+            if not a or len(a) >= n or not is_sum_indecomposable(member):
                 continue
-            r = 0
-            for cand in range(1, n // block + 2):
-                stack = _iterated_sum_vals(a, cand)
-                capped = (1,) + _shift(stack, 1) + (len(stack) + 2,)
-                if len(capped) >= n or capped not in index:
-                    r = cand
-                    break
-            stack = _iterated_sum_vals(a, r)
-            w = _weight_from_tests(
-                strictly_below(stack),
-                strictly_below((1,) + _shift(stack, 1)),
-                strictly_below(stack + (len(stack) + 1,)),
-                strictly_below(_iterated_sum_vals(a, r + 1)),
-            )
+            r, w = _rank_and_weight(a, n, has)
             if w:
                 out.append((idx, member, r, w))
         self._candidates[pi.values] = out
@@ -449,22 +420,3 @@ def default_engine() -> MobiusEngine:
 def mobius(sigma: Permutation, pi: Permutation, engine: str = "auto") -> int:
     return default_engine().mobius(sigma, pi, engine=engine)
 
-
-def mobius_theorem(sigma: Permutation, pi: Permutation) -> int:
-    return default_engine().mobius_theorem(sigma, pi)
-
-
-def mobius_prop1(sigma: Permutation, pi: Permutation) -> int:
-    return default_engine().mobius_prop1(sigma, pi)
-
-
-def mobius_prop2(sigma: Permutation, pi: Permutation) -> int:
-    return default_engine().mobius_prop2(sigma, pi)
-
-
-def mobius_cor3(sigma: Permutation, pi: Permutation) -> int:
-    return default_engine().mobius_cor3(sigma, pi)
-
-
-def contributing_set(sigma: Permutation, pi: Permutation) -> list[WeightedContribution]:
-    return default_engine().contributing_set(sigma, pi)

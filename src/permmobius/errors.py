@@ -31,10 +31,6 @@ class TooLarge(MobiusError, ValueError):
     """Input exceeds a configured size cap (downset cap, key length, ...)."""
 
 
-class EmptyInterval(MobiusError, ValueError):
-    """An interval is empty where a nonempty one is required."""
-
-
 class PreconditionViolation(MobiusError, ValueError):
     """An operation's precondition does not hold for the given input."""
 

@@ -43,7 +43,6 @@ from .perms import (
     Permutation,
     Shape,
     classify_oscillation,
-    is_sum_indecomposable,
     oscillation,
     realize_shape,
 )
@@ -237,19 +236,16 @@ def _structural_min_k(shape_kind: str) -> int:
 def min_k(sigma: Permutation, shape_kind: str) -> int:
     """Lower end of the block-count range for the shape.
 
-    For sigma = 1 every shape embeds it from the smallest realizable block
-    count.  For the bare-21 shape the range is reported from 1: when sigma
-    is neither 1 nor 21 the lone term is annihilated by mu(sigma, 21) = 0,
-    so the printed range is harmless.
+    For a chain shape this is the smallest block count whose term can be
+    nonzero (``_engine_min_k``).  For the bare-21 shape the range is
+    reported from 1: when sigma is neither 1 nor 21 the lone term is
+    annihilated by mu(sigma, 21) = 0, so the printed range is harmless.
     """
     if shape_kind not in SHAPE_KINDS:
         raise InvalidShape(f"unknown shape kind {shape_kind!r}")
-    structural = _structural_min_k(shape_kind)
-    if len(sigma.values) == 1:
-        return structural
     if shape_kind == SINGLE21:
         return 1
-    return max(raw_min_k(sigma, shape_kind), structural)
+    return _engine_min_k(sigma, shape_kind)
 
 
 def _class_min_k(shape_kind: str, cls: Optional[PiClass]) -> int:
@@ -341,9 +337,9 @@ def _sigma_leq_osc(sigma: Permutation, id: OscillationId) -> bool:
     return True
 
 
-def _fill_memo(sigma: Permutation, up_to: int) -> None:
+def _fill_memo(sigma: Permutation, cls: PiClass, up_to: int) -> None:
     """Populate the memo for both kinds at every missing length up to up_to,
-    shortest first, by one divisor scan.
+    shortest first, by one divisor scan; cls is sigma's class.
 
     The memo holds, for each sigma, both kinds at every length from
     |sigma| + 2 up to some length, so only the lengths above the longest
@@ -356,7 +352,6 @@ def _fill_memo(sigma: Permutation, up_to: int) -> None:
         done -= 1
     if done == up_to:
         return
-    cls = sigma_class(sigma)
     # A summed member of sigma's own length contains sigma (it passes the
     # block-count threshold), so it is sigma and its value is 1.
     values = {
@@ -450,18 +445,20 @@ def mobius_oscillation(
         if not _sigma_leq_osc(sigma, id):
             raise NotContained(f"{sigma} is not contained in the upper bound")
         return _principal_value(id.n)
-    if not is_sum_indecomposable(sigma) or (
-        len(sigma.values) > 1 and classify_oscillation(sigma) is None
-    ):
+    try:
+        cls = sigma_class(sigma)
+    except NotAnOscillation:
+        # sigma_class's message serves the table helpers; this route keeps
+        # its own, which the CLI prints.
         raise NotAnOscillation(
             f"{sigma} is not a sum-indecomposable increasing oscillation"
-        )
+        ) from None
     if not _sigma_leq_osc(sigma, id):
         raise NotContained(f"{sigma} is not contained in the upper bound")
     gap = id.n - len(sigma.values)
     if gap < 2:
         return -1 if gap else 1
-    _fill_memo(sigma, id.n)
+    _fill_memo(sigma, cls, id.n)
     return _memo[(sigma.key, id.kind, id.n)]
 
 
@@ -479,9 +476,8 @@ def trace_oscillation(
         lo = min_k(sigma, shape_kind)
         hi = max_k(shape_kind, pi=pic)
         lines.append(f"shape={shape_kind} min_k={lo} max_k={hi}")
-        engine_lo = _engine_min_k(sigma, shape_kind)
         emitted = False
-        for k in range(max(lo, engine_lo), hi + 1):
+        for k in range(_engine_min_k(sigma, shape_kind), hi + 1):
             member = _shape_member_id(shape_kind, k)
             if not _sigma_leq_osc(sigma, member):
                 continue

@@ -86,9 +86,6 @@ class DownsetContext:
         self.groups = groups
         self._column = None
 
-    def contains_member(self, sigma: Permutation) -> bool:
-        return sigma.values in self.index
-
     def column(self) -> np.ndarray:
         """mu(member, pi) for every member, solved top-down by length."""
         if self._column is None:
@@ -220,8 +217,3 @@ def mobius_naive_column(
     ctx = _downset_ctx(pi)
     col = ctx.column()
     return {p: int(col[i]) for i, p in enumerate(ctx.members)}
-
-
-def clear_poset_cache() -> None:
-    """Drop memoized downset contexts (mainly for tests and benchmarks)."""
-    _downset_ctx.cache_clear()

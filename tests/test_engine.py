@@ -8,14 +8,15 @@ import pytest
 
 from permmobius import (
     EMPTY,
+    EmptyOperand,
     MobiusCache,
     MobiusEngine,
     NotAnOscillation,
     Permutation,
     PreconditionViolation,
     contains,
-    contributing_set,
     direct_sum,
+    downset,
     family_sum,
     interval,
     is_identity,
@@ -78,6 +79,13 @@ def test_min_r_is_the_least_rank_whose_capped_stack_escapes():
                 assert contains(capped, pi)
 
 
+def test_rank_and_weight_of_an_empty_alpha_are_refused():
+    with pytest.raises(EmptyOperand):
+        min_r_general(EMPTY, P("2413"))
+    with pytest.raises(EmptyOperand):
+        weight_general(ONE, EMPTY, P("2413"))
+
+
 # --------------------------------------------------------- weight_general
 
 
@@ -125,10 +133,10 @@ def test_weighted_families_carry_the_full_tower_contribution(
 # ------------------------------------------------------- contributing_set
 
 
-def test_contributing_set_for_the_worked_example():
+def test_contributing_set_for_the_worked_example(engine):
     got = {
         (str(wc.alpha), wc.r, wc.weight)
-        for wc in contributing_set(P("3142"), P("315274968"))
+        for wc in engine.contributing_set(P("3142"), P("315274968"))
     }
     assert got == {
         ("2 4 1 5 3", 1, -1),
@@ -141,14 +149,38 @@ def test_contributing_set_for_the_worked_example():
     }
 
 
-def test_contributing_set_members_are_indecomposable_and_contained():
+def test_contributing_set_members_are_indecomposable_and_contained(engine):
     sigma, pi = P("21"), P("241635")
-    for wc in contributing_set(sigma, pi):
+    for wc in engine.contributing_set(sigma, pi):
         assert is_sum_indecomposable(wc.alpha)
         assert contains(sigma, wc.alpha)
         assert contains(wc.alpha, pi)
         assert wc.weight in (-1, 1)
         assert wc.r >= 1
+
+
+def test_contributing_set_agrees_with_the_matcher_rank_and_weight(engine):
+    # The candidate list tests alpha's direct-sum family against pi's
+    # downset index; min_r_general and weight_general test it with the
+    # matcher.  Every alpha contains 1, so the lists must coincide.
+    for n in range(1, 7):
+        for pv in all_perm_tuples(n):
+            pi = Permutation(pv)
+            got = [
+                (wc.alpha, wc.r, wc.weight)
+                for wc in engine.contributing_set(ONE, pi)
+            ]
+            expected = []
+            for length, members in downset(pi).items():
+                if not 0 < length < n:
+                    continue
+                for alpha in members:
+                    if not is_sum_indecomposable(alpha):
+                        continue
+                    w = weight_general(ONE, alpha, pi)
+                    if w:
+                        expected.append((alpha, min_r_general(alpha, pi), w))
+            assert sorted(got, key=str) == sorted(expected, key=str), pi
 
 
 # --------------------------------------------------------- mobius_theorem
