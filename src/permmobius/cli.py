@@ -19,10 +19,10 @@ from .analysis import (
     principal_series,
     Violation,
 )
-from .engine import ENGINE_NAMES, MobiusCache, MobiusEngine
+from .engine import ENGINE_NAMES, MobiusCache, MobiusEngine, _oscillation_route
 from .errors import MobiusError, NotAPermutation
 from .oscillation_fast import trace_oscillation
-from .perms import Permutation, classify_oscillation, parse_permutation
+from .perms import Permutation, parse_permutation
 from .poset import DEFAULT_DOWNSET_CAP, downset, interval, mobius_naive_column
 
 __all__ = ["main", "build_parser"]
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cache-bytes",
             type=int,
             default=None,
-            help="memo budget in bytes (default: MOBIUS_CACHE_BYTES or 256 MiB)",
+            help="value-cache budget in bytes (default: 256 MiB)",
         )
         p.add_argument("--out", type=str, default=None, help="write output to file")
 
@@ -124,8 +124,9 @@ def _violation_dict(v: Violation) -> dict:
 
 
 def _make_engine(args: argparse.Namespace) -> MobiusEngine:
-    cache = MobiusCache(args.cache_bytes) if args.cache_bytes else MobiusCache()
-    return MobiusEngine(cache=cache, downset_cap=args.downset_cap)
+    return MobiusEngine(
+        cache=MobiusCache(args.cache_bytes), downset_cap=args.downset_cap
+    )
 
 
 def _cmd_mobius(args: argparse.Namespace) -> tuple[list[str], int]:
@@ -135,11 +136,7 @@ def _cmd_mobius(args: argparse.Namespace) -> tuple[list[str], int]:
     lines: list[str] = []
     if args.trace:
         use_oscillation = args.engine == "oscillation" or (
-            args.engine == "auto"
-            and classify_oscillation(pi) is not None
-            and (
-                len(sigma.values) == 1 or classify_oscillation(sigma) is not None
-            )
+            args.engine == "auto" and _oscillation_route(sigma, pi) is not None
         )
         if use_oscillation:
             lines.extend(trace_oscillation(sigma, pi))

@@ -17,16 +17,15 @@ fast path.
 from __future__ import annotations
 
 import itertools
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import EmptyOperand, PreconditionViolation, TooLarge
-from .oscillation_fast import mobius_oscillation
+from .oscillation_fast import mobius_oscillation, oscillation_id
 from .perms import (
+    OscillationId,
     Permutation,
-    classify_oscillation,
     contains,
     is_identity,
     is_reverse_identity,
@@ -51,16 +50,16 @@ _DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 _ENTRY_OVERHEAD = 48
 
 
+_Key = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 class MobiusCache:
-    """LRU value cache keyed by (lower key, upper key), bounded in bytes."""
+    """LRU value cache keyed by (lower values, upper values), bounded in
+    bytes: an entry costs one byte per point plus a fixed overhead."""
 
     def __init__(self, max_bytes: Optional[int] = None):
-        if max_bytes is None:
-            max_bytes = int(
-                os.environ.get("MOBIUS_CACHE_BYTES", _DEFAULT_CACHE_BYTES)
-            )
-        self.max_bytes = max_bytes
-        self._entries: OrderedDict[tuple[bytes, bytes], int] = OrderedDict()
+        self.max_bytes = _DEFAULT_CACHE_BYTES if max_bytes is None else max_bytes
+        self._entries: OrderedDict[_Key, int] = OrderedDict()
         self._bytes = 0
         self.hits = 0
         self.misses = 0
@@ -73,10 +72,10 @@ class MobiusCache:
         return self._bytes
 
     @staticmethod
-    def _cost(key: tuple[bytes, bytes]) -> int:
+    def _cost(key: _Key) -> int:
         return len(key[0]) + len(key[1]) + _ENTRY_OVERHEAD
 
-    def get(self, key: tuple[bytes, bytes]) -> Optional[int]:
+    def get(self, key: _Key) -> Optional[int]:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -85,7 +84,7 @@ class MobiusCache:
         self.hits += 1
         return entry
 
-    def put(self, key: tuple[bytes, bytes], value: int) -> None:
+    def put(self, key: _Key, value: int) -> None:
         if key in self._entries:
             self._entries.move_to_end(key)
             self._entries[key] = value
@@ -370,7 +369,7 @@ class MobiusEngine:
         # refuse) on its own, never answer with another route's value.
         use_cache = engine == "auto"
         if use_cache:
-            key = (sigma.key, pi.key)
+            key = (sigma.values, pi.values)
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
@@ -401,10 +400,20 @@ class MobiusEngine:
             return mobius_naive(sigma, pi, cap=self.downset_cap)
         if len(pi.values) <= 3:
             return mobius_naive(sigma, pi, cap=self.downset_cap)
-        if engine == "auto" and classify_oscillation(pi) is not None:
-            if len(sigma.values) == 1 or classify_oscillation(sigma) is not None:
-                return mobius_oscillation(sigma, pi)
+        if engine == "auto":
+            pi_id = _oscillation_route(sigma, pi)
+            if pi_id is not None:
+                return mobius_oscillation(sigma, pi_id)
         return self.mobius_theorem(sigma, pi)
+
+
+def _oscillation_route(sigma: Permutation, pi: Permutation) -> Optional[OscillationId]:
+    """The route rule of the oscillation fast path: pi's OscillationId when
+    pi is W_n / M_n with n >= 2 and sigma is 1 or an oscillation, else None."""
+    pi_id = oscillation_id(pi)
+    if pi_id is None or pi_id.n < 2 or oscillation_id(sigma) is None:
+        return None
+    return pi_id
 
 
 _default_engine: Optional[MobiusEngine] = None

@@ -28,7 +28,7 @@ class InvalidShape(MobiusError, ValueError):
 
 
 class TooLarge(MobiusError, ValueError):
-    """Input exceeds a configured size cap (downset cap, key length, ...)."""
+    """Input exceeds a configured size cap (the downset cap)."""
 
 
 class PreconditionViolation(MobiusError, ValueError):

@@ -43,7 +43,6 @@ from .perms import (
     Permutation,
     Shape,
     classify_oscillation,
-    oscillation,
     realize_shape,
 )
 
@@ -180,23 +179,6 @@ def fits_in_pi(
     return min_points(shape, r, pi) + 2 * sum(caps) <= pi.budget
 
 
-def sigma_class(sigma: Permutation) -> PiClass:
-    """Parity class of an oscillation lower bound (length-2 resolves to W)."""
-    n = len(sigma.values)
-    if n == 2 and sigma.values == (2, 1):
-        return PiClass(W_EVEN, 1)
-    shape = classify_oscillation(sigma)
-    if shape is None:
-        raise NotAnOscillation(f"{sigma} is not an increasing oscillation")
-    if shape.kind == PLAIN:
-        return PiClass(W_EVEN, shape.k)
-    if shape.kind == RIGHT_CAPPED:
-        return PiClass(W_ODD, shape.k + 1)
-    if shape.kind == BOTH_CAPPED:
-        return PiClass(M_EVEN, shape.k + 1)
-    return PiClass(M_ODD, shape.k + 1)
-
-
 # Smallest block count k for which a lower bound of the given parity class
 # (parameter n) is contained in the shape's realization, per shape kind.
 # _SENTINEL_K marks the always-false row (no k works).
@@ -222,7 +204,7 @@ def raw_min_k(
     empties any k-range it bounds."""
     if len(sigma.values) <= 1:
         raise PreconditionViolation("raw_min_k requires |sigma| > 1")
-    cls = sigma_class(sigma)
+    cls = pi_class_of(_require_id(sigma))
     k = _raw_min_k_table(shape_kind, cls.kind, cls.n)
     if k >= _SENTINEL_K and pi_length is not None:
         return pi_length
@@ -248,6 +230,11 @@ def min_k(sigma: Permutation, shape_kind: str) -> int:
     return _engine_min_k(sigma, shape_kind)
 
 
+def _lower_class(id: OscillationId) -> Optional[PiClass]:
+    """The class of a lower bound (None for sigma = 1)."""
+    return None if id.n == 1 else pi_class_of(id)
+
+
 def _class_min_k(shape_kind: str, cls: Optional[PiClass]) -> int:
     """_engine_min_k for a lower bound of class cls (None for sigma = 1)."""
     structural = _structural_min_k(shape_kind)
@@ -258,8 +245,7 @@ def _class_min_k(shape_kind: str, cls: Optional[PiClass]) -> int:
 
 def _engine_min_k(sigma: Permutation, shape_kind: str) -> int:
     """Smallest block count whose term can be nonzero in the shape sum."""
-    cls = None if len(sigma.values) == 1 else sigma_class(sigma)
-    return _class_min_k(shape_kind, cls)
+    return _class_min_k(shape_kind, _lower_class(_require_id(sigma)))
 
 
 def max_k(shape_kind: str, pi: PiClass) -> int:
@@ -319,22 +305,40 @@ def _shape_member_id(shape_kind: str, k: int) -> OscillationId:
     return OscillationId(kind, 2 * k + extra + offset)
 
 
-_memo: dict[tuple[bytes, str, int], int] = {}
+def oscillation_id(p: Permutation) -> Optional[OscillationId]:
+    """Which oscillation p is (W for |p| <= 2), or None when p is none."""
+    if len(p.values) == 1:
+        return OscillationId("W", 1)
+    shape = classify_oscillation(p)
+    return None if shape is None else _shape_member_id(shape.kind, shape.k)
+
+
+def _require_id(p: Union[OscillationId, Permutation]) -> OscillationId:
+    """p's OscillationId; NotAnOscillation when p is no oscillation."""
+    if isinstance(p, OscillationId):
+        return p
+    if not isinstance(p, Permutation):
+        raise NotAnOscillation(f"cannot interpret {p!r} as an oscillation")
+    id = oscillation_id(p)
+    if id is None:
+        raise NotAnOscillation(f"{p} is not an increasing oscillation")
+    return id
+
+
+_memo: dict[tuple[tuple[int, ...], str, int], int] = {}
 
 
 def clear_oscillation_memo() -> None:
     _memo.clear()
 
 
-def _sigma_leq_osc(sigma: Permutation, id: OscillationId) -> bool:
-    """Containment of an oscillation lower bound in an oscillation: every
-    strictly shorter oscillation embeds; equal length requires equality."""
-    n = len(sigma.values)
-    if n > id.n:
-        return False
-    if n == id.n:
-        return sigma == oscillation(id)
-    return True
+def _sigma_leq_osc(sigma: OscillationId, id: OscillationId) -> bool:
+    """Containment of one oscillation in another: every strictly shorter
+    oscillation embeds; equal length requires equality (W_1 = M_1 and
+    W_2 = M_2)."""
+    if sigma.n != id.n:
+        return sigma.n < id.n
+    return sigma.n <= 2 or sigma.kind == id.kind
 
 
 def _fill_memo(sigma: Permutation, cls: PiClass, up_to: int) -> None:
@@ -345,7 +349,7 @@ def _fill_memo(sigma: Permutation, cls: PiClass, up_to: int) -> None:
     |sigma| + 2 up to some length, so only the lengths above the longest
     one present are computed.
     """
-    skey = sigma.key
+    skey = sigma.values
     slen = len(sigma.values)
     done = up_to
     while done > slen + 1 and (skey, "M", done) not in _memo:
@@ -421,45 +425,30 @@ def _divisor_scan(
             values[kind].append(-total)
 
 
-def _resolve_upper(pi: Union[OscillationId, Permutation]) -> OscillationId:
-    if isinstance(pi, OscillationId):
-        return pi
-    if isinstance(pi, Permutation):
-        n = len(pi.values)
-        if n == 1:
-            return OscillationId("W", 1)
-        shape = classify_oscillation(pi)
-        if shape is None:
-            raise NotAnOscillation(f"{pi} is not an increasing oscillation")
-        return _shape_member_id(shape.kind, shape.k)
-    raise NotAnOscillation(f"cannot interpret {pi!r} as an oscillation")
-
-
 def mobius_oscillation(
     sigma: Permutation, pi: Union[OscillationId, Permutation]
 ) -> int:
     """mu(sigma, pi) for an increasing-oscillation upper bound, computed
     purely from the containment inequalities."""
-    id = _resolve_upper(pi)
-    if len(sigma.values) == 1:
-        if not _sigma_leq_osc(sigma, id):
-            raise NotContained(f"{sigma} is not contained in the upper bound")
-        return _principal_value(id.n)
-    try:
-        cls = sigma_class(sigma)
-    except NotAnOscillation:
-        # sigma_class's message serves the table helpers; this route keeps
-        # its own, which the CLI prints.
+    id = _require_id(pi)
+    # Only oscillation lower bounds enter the memo, so a hit is valid.
+    value = _memo.get((sigma.values, id.kind, id.n))
+    if value is not None:
+        return value
+    sigma_id = oscillation_id(sigma)
+    if sigma_id is None:
         raise NotAnOscillation(
             f"{sigma} is not a sum-indecomposable increasing oscillation"
-        ) from None
-    if not _sigma_leq_osc(sigma, id):
+        )
+    if not _sigma_leq_osc(sigma_id, id):
         raise NotContained(f"{sigma} is not contained in the upper bound")
-    gap = id.n - len(sigma.values)
+    if sigma_id.n == 1:
+        return _principal_value(id.n)
+    gap = id.n - sigma_id.n
     if gap < 2:
         return -1 if gap else 1
-    _fill_memo(sigma, cls, id.n)
-    return _memo[(sigma.key, id.kind, id.n)]
+    _fill_memo(sigma, pi_class_of(sigma_id), id.n)
+    return _memo[(sigma.values, id.kind, id.n)]
 
 
 def trace_oscillation(
@@ -468,18 +457,21 @@ def trace_oscillation(
     """Human-readable evaluation tables: the per-shape block-count ranges,
     then one line per candidate member with its r, reported weight and
     Möbius value."""
-    id = _resolve_upper(pi)
-    pic = pi_class_of(id)
+    pic = pi_class_of(_require_id(pi))
+    sigma_id = _require_id(sigma)
+    cls = _lower_class(sigma_id)
     lines: list[str] = []
     rows: list[str] = []
     for shape_kind in SHAPE_KINDS:
-        lo = min_k(sigma, shape_kind)
+        lo = _class_min_k(shape_kind, cls)
         hi = max_k(shape_kind, pi=pic)
-        lines.append(f"shape={shape_kind} min_k={lo} max_k={hi}")
+        # As in min_k, the bare-21 range is printed from 1.
+        shown = 1 if shape_kind == SINGLE21 else lo
+        lines.append(f"shape={shape_kind} min_k={shown} max_k={hi}")
         emitted = False
-        for k in range(_engine_min_k(sigma, shape_kind), hi + 1):
+        for k in range(lo, hi + 1):
             member = _shape_member_id(shape_kind, k)
-            if not _sigma_leq_osc(sigma, member):
+            if not _sigma_leq_osc(sigma_id, member):
                 continue
             r, w = _rank_and_weight(shape_kind, k, pic)
             mu = mobius_oscillation(sigma, member)

@@ -19,7 +19,6 @@ from .errors import (
     InvalidShape,
     NotAPermutation,
     OperandTooShort,
-    TooLarge,
 )
 
 __all__ = [
@@ -61,9 +60,6 @@ __all__ = [
     "is_identity",
     "is_reverse_identity",
 ]
-
-_MAX_KEY_LENGTH = 255
-
 
 class Permutation:
     """An immutable permutation in one-line notation."""
@@ -118,15 +114,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.values)!r})"
-
-    @property
-    def key(self) -> bytes:
-        """Canonical byte key; usable as a compact map key."""
-        if len(self.values) > _MAX_KEY_LENGTH:
-            raise TooLarge(
-                f"no byte key for length {len(self.values)} > {_MAX_KEY_LENGTH}"
-            )
-        return bytes(self.values)
 
 
 EMPTY = Permutation(())

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from permmobius import cli
+from permmobius import OscillationId, cli, oscillation, principal_mu_series
 
 WORKED_PI = "315274968"
 
@@ -49,6 +49,12 @@ def test_mobius_prints_the_bare_value(capsys):
 def test_mobius_zero_when_not_contained(capsys):
     rc, out, _ = run_cli(capsys, ["mobius", "21", "12"])
     assert (rc, out) == (0, "0\n")
+
+
+def test_mobius_answers_an_oscillation_past_255_points(capsys):
+    w300 = " ".join(map(str, oscillation(OscillationId("W", 300)).values))
+    rc, out, err = run_cli(capsys, ["mobius", "1", w300])
+    assert (rc, out, err) == (0, f"{principal_mu_series(300)[300]}\n", "")
 
 
 def test_mobius_engines_agree_on_the_worked_example(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 
@@ -12,6 +13,7 @@ from permmobius import (
     MobiusCache,
     MobiusEngine,
     NotAnOscillation,
+    OscillationId,
     Permutation,
     PreconditionViolation,
     contains,
@@ -27,9 +29,13 @@ from permmobius import (
     mobius,
     mobius_naive,
     mobius_naive_column,
+    mobius_oscillation,
+    oscillation,
     parse_permutation,
+    principal_mu_series,
     weight_general,
 )
+from permmobius import perms
 
 from helpers import all_perm_tuples
 
@@ -347,7 +353,7 @@ def test_cached_auto_value_does_not_answer_for_another_engine():
     assert warm.mobius(sigma, pi, engine="general") == -6
     # an explicit engine's own value is not cached either
     warm.mobius(ONE, P("24153"), engine="general")
-    assert warm.cache.get((ONE.key, P("24153").key)) is None
+    assert warm.cache.get((ONE.values, P("24153").values)) is None
 
 
 def test_tiny_cache_budget_still_computes_correct_values():
@@ -363,3 +369,48 @@ def test_direct_sum_upper_bounds_route_through_decomposition(engine):
     pi = direct_sum(P("312"), P("21"))
     for sigma, expected in mobius_naive_column(pi).items():
         assert engine.mobius(sigma, pi) == expected
+
+
+def test_oscillation_upper_bounds_past_255_points_are_answered():
+    w300 = OscillationId("W", 300)
+    pi = oscillation(w300)
+    for sigma in (ONE, oscillation(OscillationId("W", 5))):
+        expected = mobius_oscillation(sigma, w300)
+        for name in ("auto", "oscillation"):
+            assert MobiusEngine().mobius(sigma, pi, engine=name) == expected, name
+    assert mobius_oscillation(ONE, w300) == principal_mu_series(300)[300]
+
+
+def _count_classifications(monkeypatch) -> list:
+    """Replace every binding of classify_oscillation in the package's
+    modules by a wrapper that records its arguments."""
+    original = perms.classify_oscillation
+    calls: list = []
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    for name, module in list(sys.modules.items()):
+        if name == "permmobius" or name.startswith("permmobius."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_an_auto_oscillation_query_classifies_each_bound_once(monkeypatch):
+    sigma, w9 = P("3142"), OscillationId("W", 9)
+    expected = mobius_oscillation(sigma, w9)  # warms the memo
+    calls = _count_classifications(monkeypatch)
+    assert MobiusEngine().mobius(sigma, oscillation(w9)) == expected
+    assert calls == [oscillation(w9), sigma]
+
+
+def test_a_memo_hit_classifies_nothing(monkeypatch):
+    sigma, w9 = P("3142"), OscillationId("W", 9)
+    expected = mobius_oscillation(sigma, w9)
+    calls = _count_classifications(monkeypatch)
+    # only validated lower bounds are stored, so the hit needs no check
+    assert mobius_oscillation(sigma, w9) == expected
+    assert calls == []

@@ -310,6 +310,13 @@ def test_fast_path_preconditions():
         mobius_oscillation(P("1"), P("1234"))
 
 
+def test_fast_path_equates_the_two_kinds_at_lengths_one_and_two():
+    # W_1 = M_1 = 1 and W_2 = M_2 = 21
+    assert mobius_oscillation(P("21"), OscillationId("M", 2)) == 1
+    assert mobius_oscillation(P("1"), OscillationId("M", 1)) == 1
+    assert mobius_oscillation(P("1"), OscillationId("M", 2)) == -1
+
+
 def test_fast_path_inverse_symmetry_across_orientations():
     sigmas = [
         P(s)
