@@ -56,19 +56,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--downset-cap",
-            type=int,
-            default=DEFAULT_DOWNSET_CAP,
-            help="maximum upper-bound length for exhaustive enumeration",
-        )
-        p.add_argument(
-            "--cache-bytes",
-            type=int,
-            default=None,
-            help="value-cache budget in bytes (default: 256 MiB)",
-        )
+    def add_flags(p: argparse.ArgumentParser, cap=False, cache=False) -> None:
+        """The tuning flags a subcommand reads, and --out on every one."""
+        if cap:
+            p.add_argument(
+                "--downset-cap",
+                type=int,
+                default=DEFAULT_DOWNSET_CAP,
+                help="maximum upper-bound length for exhaustive enumeration",
+            )
+        if cache:
+            p.add_argument(
+                "--cache-bytes",
+                type=int,
+                default=None,
+                help="value-cache budget in bytes (default: 256 MiB)",
+            )
         p.add_argument("--out", type=str, default=None, help="write output to file")
 
     p_mobius = sub.add_parser("mobius", help="Möbius value of one interval")
@@ -80,18 +83,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_mobius.add_argument(
         "--trace", action="store_true", help="print the evaluation tables first"
     )
-    add_common(p_mobius)
+    add_flags(p_mobius, cap=True, cache=True)
 
     p_interval = sub.add_parser("interval", help="CSV dump of a closed interval")
     p_interval.add_argument("sigma")
     p_interval.add_argument("pi")
     p_interval.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p_interval)
+    add_flags(p_interval, cap=True)
 
     p_downset = sub.add_parser("downset", help="all patterns of a permutation")
     p_downset.add_argument("pi")
     p_downset.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_common(p_downset)
+    add_flags(p_downset, cap=True)
 
     p_series = sub.add_parser("series", help="principal Möbius series")
     p_series.add_argument("--n-max", type=int, required=True)
@@ -99,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument(
         "--loglog", action="store_true", help="emit (ln n, ln |mu|) rows"
     )
-    add_common(p_series)
+    add_flags(p_series)
 
     p_check = sub.add_parser("check", help="verification suites")
     p_check.add_argument(
@@ -110,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--n-max", type=int, default=None)
     p_check.add_argument("--range", type=_parse_range, default=None)
     p_check.add_argument("--max-len", type=int, default=6)
-    add_common(p_check)
+    add_flags(p_check, cap=True, cache=True)
 
     return parser
 

@@ -19,20 +19,21 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from .errors import EmptyOperand, PreconditionViolation, TooLarge
+from .errors import EmptyOperand, PreconditionViolation
 from .oscillation_fast import mobius_oscillation, oscillation_id
 from .perms import (
     OscillationId,
     Permutation,
+    _iterated_sum_values,
     contains,
     is_identity,
     is_reverse_identity,
     is_sum_indecomposable,
     sum_decompose,
 )
-from .poset import DEFAULT_DOWNSET_CAP, _downset_ctx, mobius_naive
+from .poset import DEFAULT_DOWNSET_CAP, _capped_ctx, mobius_naive
 
 __all__ = [
     "MobiusCache",
@@ -114,14 +115,6 @@ class WeightedContribution:
 # ---------------------------------------------------------------------------
 
 
-def _iterated_sum_vals(alpha: tuple[int, ...], r: int) -> tuple[int, ...]:
-    block = len(alpha)
-    out: list[int] = []
-    for i in range(r):
-        out.extend(v + i * block for v in alpha)
-    return tuple(out)
-
-
 def _rank_and_weight(
     a: tuple[int, ...], n: int, has: Callable[[tuple[int, ...]], bool]
 ) -> tuple[int, int]:
@@ -137,7 +130,7 @@ def _rank_and_weight(
 
     # The capped stack outgrows the upper bound, so the loop ends.
     for r in itertools.count(1):
-        stack = _iterated_sum_vals(a, r)
+        stack = _iterated_sum_values(a, r)
         left = (1,) + tuple(v + 1 for v in stack)
         if not below(left + (len(stack) + 2,)):
             break
@@ -145,7 +138,7 @@ def _rank_and_weight(
         below(stack)
         - below(left)
         - below(stack + (len(stack) + 1,))
-        + below(_iterated_sum_vals(a, r + 1))
+        + below(_iterated_sum_values(a, r + 1))
     )
     return r, weight
 
@@ -202,7 +195,7 @@ class MobiusEngine:
         if cached is not None:
             self._candidates.move_to_end(pi.values)
             return cached
-        ctx = _downset_ctx(pi)
+        ctx = _capped_ctx(pi, self.downset_cap)
         n = len(pi.values)
         has = ctx.index.__contains__
         out: list[tuple[int, Permutation, int, int]] = []
@@ -218,23 +211,25 @@ class MobiusEngine:
             self._candidates.popitem(last=False)
         return out
 
+    def _contributions(
+        self, sigma: Permutation, pi: Permutation
+    ) -> Iterator[tuple[Permutation, int, int]]:
+        """(alpha, r, weight) for each candidate of pi that lies above sigma."""
+        ctx = _capped_ctx(pi, self.downset_cap)
+        sidx = ctx.index.get(sigma.values)
+        if sidx is None:
+            return
+        for idx, alpha, r, w in self._candidate_list(pi):
+            if (ctx.reach[idx] >> sidx) & 1:
+                yield alpha, r, w
+
     def contributing_set(
         self, sigma: Permutation, pi: Permutation
     ) -> list[WeightedContribution]:
         """All sum-indecomposable alpha in [sigma, pi) with nonzero weight."""
-        if len(pi.values) > self.downset_cap:
-            raise TooLarge(
-                f"upper bound of length {len(pi.values)} exceeds the downset "
-                f"cap {self.downset_cap}"
-            )
-        ctx = _downset_ctx(pi)
-        sidx = ctx.index.get(sigma.values)
-        if sidx is None:
-            return []
         return [
             WeightedContribution(alpha, r, w)
-            for idx, alpha, r, w in self._candidate_list(pi)
-            if (ctx.reach[idx] >> sidx) & 1
+            for alpha, r, w in self._contributions(sigma, pi)
         ]
 
     # -- component recursions ---------------------------------------------
@@ -331,15 +326,9 @@ class MobiusEngine:
         if sigma == pi:
             return 1
         self.stats["theorem_calls"] += 1
-        ctx = _downset_ctx(pi)
-        sidx = ctx.index.get(sigma.values)
-        if sidx is None:
-            return 0
         slen = len(sigma.values)
         total = 0
-        for idx, alpha, _r, w in self._candidate_list(pi):
-            if not (ctx.reach[idx] >> sidx) & 1:
-                continue
+        for alpha, _r, w in self._contributions(sigma, pi):
             alen = len(alpha.values)
             if alen == slen:
                 mu_sa = 1

@@ -198,23 +198,25 @@ def contains(sigma: Permutation, pi: Permutation) -> bool:
         return True
     lo_idx, hi_idx = _neighbor_bounds(s)
     placed = [0] * k
-
-    def place(i: int, start: int) -> bool:
-        if i == k:
-            return True
-        li = lo_idx[i]
-        hi = hi_idx[i]
+    start = [0] * k  # per pattern index: the first position left to try
+    i = 0
+    while i >= 0:
+        li, hi = lo_idx[i], hi_idx[i]
         lo_val = placed[li] if li >= 0 else 0
         hi_val = placed[hi] if hi >= 0 else n + 1
-        for pos in range(start, n - (k - i) + 1):
+        for pos in range(start[i], n - k + i + 1):
             v = p[pos]
             if lo_val < v < hi_val:
                 placed[i] = v
-                if place(i + 1, pos + 1):
+                start[i] = pos + 1
+                i += 1
+                if i == k:
                     return True
-        return False
-
-    return place(0, 0)
+                start[i] = pos + 1
+                break
+        else:
+            i -= 1
+    return False
 
 
 def strictly_contains(sigma: Permutation, pi: Permutation) -> bool:
@@ -282,16 +284,21 @@ def skew_interleave(a: Permutation, b: Permutation) -> Permutation:
     return Permutation._wrap(_swap_values(skew_sum(a, b).values, m, m + 1))
 
 
+def _iterated_sum_values(vals: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Values of the direct sum of r copies of the pattern with values vals."""
+    block = len(vals)
+    out: list[int] = []
+    for i in range(r):
+        shift = i * block
+        out.extend(v + shift for v in vals)
+    return tuple(out)
+
+
 def iterated_sum(alpha: Permutation, r: int) -> Permutation:
     """Direct sum of r copies of alpha."""
     if r < 1:
         raise OperandTooShort(f"iterated_sum needs r >= 1, got {r}")
-    m = len(alpha.values)
-    out: list[int] = []
-    for i in range(r):
-        shift = i * m
-        out.extend(v + shift for v in alpha.values)
-    return Permutation._wrap(tuple(out))
+    return Permutation._wrap(_iterated_sum_values(alpha.values, r))
 
 
 def iterated_interleave_21(k: int) -> Permutation:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Overflow, TooLarge
-from .perms import EMPTY, Permutation, _delete_value_at
+from .perms import Permutation, _delete_value_at
 
 __all__ = [
     "DEFAULT_DOWNSET_CAP",
@@ -45,15 +45,20 @@ class DownsetContext:
     __slots__ = ("pi", "members", "index", "reach", "leq", "groups", "_column")
 
     def __init__(self, pi: Permutation):
+        # Each member's point-deletion children, computed once per member;
+        # a child is kept as the tuple its level (a dict) already holds.
         n = len(pi.values)
-        by_len: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
-        by_len[n].add(pi.values)
+        by_len: list[dict] = [{} for _ in range(n + 1)]
+        by_len[n][pi.values] = pi.values
+        children: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): []}
         for length in range(n, 0, -1):
-            level = by_len[length]
             below = by_len[length - 1]
-            for vals in level:
+            for vals in by_len[length]:
+                kids = []
                 for i in range(length):
-                    below.add(_delete_value_at(vals, i))
+                    c = _delete_value_at(vals, i)
+                    kids.append(below.setdefault(c, c))
+                children[vals] = kids
 
         members: list[Permutation] = []
         groups: list[tuple[int, int, int]] = []
@@ -67,10 +72,10 @@ class DownsetContext:
         reach = [0] * m
         for j, p in enumerate(members):
             mask = 1 << j
-            vals = p.values
-            for i in range(len(vals)):
-                mask |= reach[index[_delete_value_at(vals, i)]]
+            for c in children[p.values]:
+                mask |= reach[index[c]]
             reach[j] = mask
+        del by_len, children  # freed before the m x m matrix is built
 
         nbytes = (m + 7) // 8
         packed = np.frombuffer(
@@ -123,11 +128,14 @@ def _downset_ctx(pi: Permutation) -> DownsetContext:
     return DownsetContext(pi)
 
 
-def _check_cap(pi: Permutation, cap: int) -> None:
+def _capped_ctx(pi: Permutation, cap: int) -> DownsetContext:
+    """The cached downset context of pi; the one check of the downset cap
+    on every path that enumerates a downset."""
     if len(pi.values) > cap:
         raise TooLarge(
             f"upper bound of length {len(pi.values)} exceeds the downset cap {cap}"
         )
+    return _downset_ctx(pi)
 
 
 def downset(
@@ -135,8 +143,7 @@ def downset(
 ) -> dict[int, tuple[Permutation, ...]]:
     """All permutations contained in pi (including the empty one and pi),
     grouped by length."""
-    _check_cap(pi, cap)
-    ctx = _downset_ctx(pi)
+    ctx = _capped_ctx(pi, cap)
     return {
         length: ctx.members[start:end]
         for length, start, end in ctx.groups
@@ -170,8 +177,7 @@ def interval(
 ) -> IntervalTable:
     """The closed interval [sigma, pi]; empty table when sigma is not
     contained in pi."""
-    _check_cap(pi, cap)
-    ctx = _downset_ctx(pi)
+    ctx = _capped_ctx(pi, cap)
     sidx = ctx.index.get(sigma.values)
     if sidx is None:
         return IntervalTable(sigma, pi, {}, {})
@@ -197,23 +203,15 @@ def mobius_naive(
     sigma: Permutation, pi: Permutation, cap: int = DEFAULT_DOWNSET_CAP
 ) -> int:
     """Exact Möbius value of the interval [sigma, pi] by the defining sum."""
-    _check_cap(pi, cap)
-    if sigma == pi:
-        return 1
-    if len(sigma.values) > len(pi.values):
-        return 0
-    ctx = _downset_ctx(pi)
+    ctx = _capped_ctx(pi, cap)
     sidx = ctx.index.get(sigma.values)
-    if sidx is None:
-        return 0
-    return int(ctx.column()[sidx])
+    return 0 if sidx is None else int(ctx.column()[sidx])
 
 
 def mobius_naive_column(
     pi: Permutation, cap: int = DEFAULT_DOWNSET_CAP
 ) -> dict[Permutation, int]:
     """mu(sigma, pi) for every sigma contained in pi, in one solve."""
-    _check_cap(pi, cap)
-    ctx = _downset_ctx(pi)
+    ctx = _capped_ctx(pi, cap)
     col = ctx.column()
     return {p: int(col[i]) for i, p in enumerate(ctx.members)}

@@ -282,6 +282,21 @@ def test_missing_arguments_are_a_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["interval", "21", "3142", "--cache-bytes", "4096"],
+        ["downset", "3142", "--cache-bytes", "4096"],
+        ["series", "--n-max", "5", "--cache-bytes", "4096"],
+        ["series", "--n-max", "5", "--downset-cap", "8"],
+    ],
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
 def test_engine_errors_exit_one(capsys):
     rc, _, err = run_cli(
         capsys, ["mobius", "1", "2143", "--engine", "oscillation"]

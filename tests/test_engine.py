@@ -16,6 +16,7 @@ from permmobius import (
     OscillationId,
     Permutation,
     PreconditionViolation,
+    TooLarge,
     contains,
     direct_sum,
     downset,
@@ -379,6 +380,40 @@ def test_oscillation_upper_bounds_past_255_points_are_answered():
         for name in ("auto", "oscillation"):
             assert MobiusEngine().mobius(sigma, pi, engine=name) == expected, name
     assert mobius_oscillation(ONE, w300) == principal_mu_series(300)[300]
+
+
+def test_every_route_that_enumerates_refuses_past_the_downset_cap():
+    sigma, pi = TWO_ONE, P("314729586")
+    capped = MobiusEngine(downset_cap=8)
+    refusals = []
+    for query in (
+        lambda: capped.mobius(sigma, pi, engine="auto"),
+        lambda: capped.mobius(sigma, pi, engine="general"),
+        lambda: capped.mobius(sigma, pi, engine="naive"),
+        lambda: capped.contributing_set(sigma, pi),
+    ):
+        with pytest.raises(TooLarge) as info:
+            query()
+        refusals.append(str(info.value))
+    assert refusals == ["upper bound of length 9 exceeds the downset cap 8"] * 4
+    wide = MobiusEngine(downset_cap=9)
+    assert [
+        wide.mobius(sigma, pi, engine=name) for name in ("auto", "general", "naive")
+    ] == [-11, -11, -11]
+
+
+def test_the_theorem_route_refuses_past_the_default_cap():
+    pi = P("3 1 4 7 2 9 5 11 6 13 8 10 12")
+    with pytest.raises(TooLarge, match="length 13 exceeds the downset cap 12"):
+        MobiusEngine().mobius(TWO_ONE, pi)
+
+
+def test_long_oscillation_in_oscillation_reaches_the_fast_path():
+    w1200, w1300 = OscillationId("W", 1200), OscillationId("W", 1300)
+    sigma = oscillation(w1200)
+    assert MobiusEngine().mobius(sigma, oscillation(w1300)) == mobius_oscillation(
+        sigma, w1300
+    )
 
 
 def _count_classifications(monkeypatch) -> list:

@@ -171,6 +171,12 @@ def test_containment_edge_cases():
     assert not strictly_contains(parse_permutation("3142"), parse_permutation("3142"))
 
 
+def test_containment_of_long_oscillations_needs_no_recursion():
+    w1300 = oscillation(OscillationId("W", 1300))
+    assert contains(oscillation(OscillationId("W", 1200)), w1300)
+    assert contains(oscillation(OscillationId("M", 1199)), w1300)
+
+
 def test_containment_is_a_partial_order_on_small_lengths():
     perms = [Permutation(v) for n in range(1, 5) for v in all_perm_tuples(n)]
     for p in perms:

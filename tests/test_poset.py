@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from permmobius import (
     EMPTY,
+    OscillationId,
     Permutation,
     TooLarge,
     complement,
@@ -17,9 +18,13 @@ from permmobius import (
     inverse,
     mobius_naive,
     mobius_naive_column,
+    oscillation,
     parse_permutation,
     reverse,
 )
+
+from permmobius import poset
+from permmobius.poset import DownsetContext
 
 from helpers import all_perm_tuples, contains_ref, mobius_ref
 
@@ -66,6 +71,32 @@ def test_downset_respects_the_cap():
     with pytest.raises(TooLarge):
         downset(Permutation(tuple(range(1, 14))))
     assert downset(Permutation(tuple(range(1, 14))), cap=14)
+
+
+def test_downset_build_deletes_each_point_of_each_member_once(monkeypatch):
+    original = poset._delete_value_at
+    calls = []
+
+    def counted(vals, i):
+        calls.append((vals, i))
+        return original(vals, i)
+
+    monkeypatch.setattr(poset, "_delete_value_at", counted)
+    w9 = oscillation(OscillationId("W", 9))
+    assert w9 == parse_permutation("315274968")
+    ctx = DownsetContext(w9)
+    assert len(calls) == sum(len(p.values) for p in ctx.members) == 740
+    assert len(set(calls)) == len(calls)
+
+
+def test_order_matrix_is_containment_to_length_6():
+    for n in range(7):
+        for vals in all_perm_tuples(n):
+            ctx = DownsetContext(Permutation(vals))
+            members = [p.values for p in ctx.members]
+            for j, upper in enumerate(members):
+                for i, lower in enumerate(members):
+                    assert ctx.leq[j, i] == contains_ref(lower, upper), (vals, i, j)
 
 
 # ---------------------------------------------------------------- interval
