@@ -19,7 +19,13 @@ from .analysis import (
     principal_series,
     Violation,
 )
-from .engine import ENGINE_NAMES, MobiusCache, MobiusEngine, _oscillation_route
+from .engine import (
+    ENGINE_NAMES,
+    MobiusCache,
+    MobiusEngine,
+    _oscillation_route,
+    _query_route,
+)
 from .errors import MobiusError, NotAPermutation
 from .oscillation_fast import trace_oscillation
 from .perms import Permutation, parse_permutation
@@ -143,9 +149,8 @@ def _cmd_mobius(args: argparse.Namespace) -> tuple[list[str], int]:
         )
         if use_oscillation:
             lines.extend(trace_oscillation(sigma, pi))
-        else:
-            for wc in engine.contributing_set(sigma, pi):
-                mu_sa = engine.mobius(sigma, wc.alpha)
+        elif _query_route(sigma, pi, args.engine) == "theorem":
+            for wc, mu_sa in engine.theorem_terms(sigma, pi):
                 lines.append(
                     f"alpha={wc.alpha} r={wc.r} weight={wc.weight} mu={mu_sa}"
                 )

@@ -1,17 +1,21 @@
 """General Möbius computation and the engine dispatcher.
 
-``MobiusEngine.mobius`` routes each query.  Decomposable upper bounds are
-reduced by the component recursions (the methods ``mobius_prop1`` /
-``mobius_prop2`` / ``mobius_cor3``).  Indecomposable upper bounds use the
-weighted contributing-set recursion (the method ``mobius_theorem``):
-mu(sigma, pi) is minus the sum of mu(sigma, alpha) times a {-1, 0, +1}
-weight over the sum-indecomposable alpha strictly below pi, where the
-weight of alpha depends on which of the direct-sum family members built
-from alpha still embed in pi.  One helper, ``_rank_and_weight``, computes
-that rank and weight for the candidate lists (against the downset index)
-and for ``min_r_general`` / ``weight_general`` (against the matcher).
-Increasing-oscillation upper bounds are routed to the inequality-only
-fast path.
+``MobiusEngine.mobius`` routes each query by one rule (``_route_rule``).
+Decomposable upper bounds are reduced by the component recursions (the
+methods ``mobius_prop1`` / ``mobius_prop2`` / ``mobius_cor3``).
+Indecomposable upper bounds use the weighted contributing-set recursion
+(the method ``mobius_theorem``): mu(sigma, pi) is minus the sum of
+mu(sigma, alpha) times a {-1, 0, +1} weight over the sum-indecomposable
+alpha strictly below pi, where the weight of alpha depends on which of the
+direct-sum family members built from alpha still embed in pi.  Every alpha
+the recursion reaches lies in pi's downset, so it is solved inside pi's
+one downset context (``_Table``), with no value cache and no other route.
+A row (alpha's candidates with their ranks and weights) depends on alpha
+alone, so upper bounds share rows through one bounded store (``_RowStore``).
+One helper, ``_rank_and_weight``, computes the rank and weight for the
+table (against member indices and order bits) and for ``min_r_general`` /
+``weight_general`` (against the matcher).  Increasing-oscillation upper
+bounds are routed to the inequality-only fast path.
 """
 
 from __future__ import annotations
@@ -19,13 +23,17 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from functools import lru_cache
+from typing import Callable, Optional, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import EmptyOperand, PreconditionViolation
 from .oscillation_fast import mobius_oscillation, oscillation_id
 from .perms import (
     OscillationId,
     Permutation,
+    _component_cuts,
     _iterated_sum_values,
     contains,
     is_identity,
@@ -33,7 +41,7 @@ from .perms import (
     is_sum_indecomposable,
     sum_decompose,
 )
-from .poset import DEFAULT_DOWNSET_CAP, _capped_ctx, mobius_naive
+from .poset import DEFAULT_DOWNSET_CAP, DownsetContext, _capped_ctx, mobius_naive
 
 __all__ = [
     "MobiusCache",
@@ -52,6 +60,7 @@ _ENTRY_OVERHEAD = 48
 
 
 _Key = tuple[tuple[int, ...], tuple[int, ...]]
+_K = TypeVar("_K")
 
 
 class MobiusCache:
@@ -115,36 +124,51 @@ class WeightedContribution:
 # ---------------------------------------------------------------------------
 
 
+def _family_values(a: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """Values of the direct-sum family of r copies of alpha (values a):
+    S_r, 1 + S_r, S_r + 1 and 1 + S_r + 1."""
+    stack = _iterated_sum_values(a, r)
+    left = (1, *map((1).__add__, stack))
+    return stack, left, stack + (len(stack) + 1,), left + (len(stack) + 2,)
+
+
+# Every context that holds a candidate looks up the same family values, and
+# a context's members are no longer than the downset cap, so a small cache
+# serves the tables (the matcher, with upper bounds of any length, does not
+# use it).
+_cached_family_values = lru_cache(maxsize=4096)(_family_values)
+
+
 def _rank_and_weight(
-    a: tuple[int, ...], n: int, has: Callable[[tuple[int, ...]], bool]
+    family: Sequence[tuple[_K, _K, _K, _K]], below: Callable[[_K], int]
 ) -> tuple[int, int]:
-    """Minimal copy count r and weight of alpha (values a) below an upper
-    bound of length n, as min_r_general and weight_general define them.
-    has(vals) tells whether vals lies in the upper bound; it is asked only
-    for len(vals) < n, so a family member counts only when strictly below."""
+    """Minimal copy count r of alpha and its weight below an upper bound.
+
+    family[r - 1] is alpha's direct-sum family for r copies (as
+    _family_values orders it, in any key), and below(member) is 1 when a
+    member lies strictly below the upper bound, else 0.  r is the least
+    r >= 1 whose capped stack 1 + S_r + 1 is not below; the weight counts,
+    by inclusion-exclusion, which of S_r, 1 + S_r, S_r + 1 and S_(r+1) are
+    below.  family must go on one entry past that r."""
+    r = 0
+    while below(family[r][3]):
+        r += 1
+    stack, left, right, _ = family[r]
+    return r + 1, below(stack) - below(left) - below(right) + below(family[r + 1][0])
+
+
+def _rank_and_weight_in(alpha: Permutation, pi: Permutation) -> tuple[int, int]:
+    """_rank_and_weight of alpha below pi, decided by the matcher."""
+    a = alpha.values
     if not a:
         raise EmptyOperand("alpha must be nonempty")
-
-    def below(vals: tuple[int, ...]) -> bool:
-        return len(vals) < n and has(vals)
-
-    # The capped stack outgrows the upper bound, so the loop ends.
-    for r in itertools.count(1):
-        stack = _iterated_sum_values(a, r)
-        left = (1,) + tuple(v + 1 for v in stack)
-        if not below(left + (len(stack) + 2,)):
-            break
-    weight = (
-        below(stack)
-        - below(left)
-        - below(stack + (len(stack) + 1,))
-        + below(_iterated_sum_values(a, r + 1))
+    n = len(pi.values)
+    # The capped stack of r copies has r * |alpha| + 2 points, so it is not
+    # below pi once r > n // |alpha|: the family ends one entry past that.
+    return _rank_and_weight(
+        [_family_values(a, r) for r in range(1, n // len(a) + 3)],
+        lambda vals: len(vals) < n and contains(Permutation._wrap(vals), pi),
     )
-    return r, weight
-
-
-def _contained_in(pi: Permutation) -> Callable[[tuple[int, ...]], bool]:
-    return lambda vals: contains(Permutation._wrap(vals), pi)
 
 
 def min_r_general(alpha: Permutation, pi: Permutation) -> int:
@@ -152,7 +176,7 @@ def min_r_general(alpha: Permutation, pi: Permutation) -> int:
     is not strictly below pi.  Strictness matters when pi itself has that
     capped-stack form: the capped stack then falls outside the half-open
     interval the recursion sums over."""
-    return _rank_and_weight(alpha.values, len(pi.values), _contained_in(pi))[0]
+    return _rank_and_weight_in(alpha, pi)[0]
 
 
 def weight_general(sigma: Permutation, alpha: Permutation, pi: Permutation) -> int:
@@ -160,7 +184,164 @@ def weight_general(sigma: Permutation, alpha: Permutation, pi: Permutation) -> i
     S the direct sum of r copies of alpha, counts which of S, 1+S, S+1
     and the (r+1)-copy stack are strictly below pi (inclusion-exclusion
     over the direct-sum family built from alpha)."""
-    return _rank_and_weight(alpha.values, len(pi.values), _contained_in(pi))[1]
+    return _rank_and_weight_in(alpha, pi)[1]
+
+
+# ---------------------------------------------------------------------------
+# The contributing-set table of one upper bound
+# ---------------------------------------------------------------------------
+
+
+# A row as parallel sequences: candidates b, ranks r and weights w.
+_Row = tuple[list[int], tuple[int, ...], tuple[int, ...]]
+
+
+class _RowStore:
+    """Rows by alpha's values, with each candidate b given by its values:
+    a row depends on alpha alone (its candidates lie below alpha and their
+    weights are tested against alpha's own downset), so every upper bound
+    whose downset holds alpha reads the same row.  Least recently used
+    rows go first once the rows hold more than max_entries entries."""
+
+    def __init__(self, max_entries: int = 1 << 20):
+        self.max_entries = max_entries
+        self._rows: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
+        self._entries = 0
+
+    def get(self, key: tuple[int, ...]) -> Optional[tuple]:
+        row = self._rows.get(key)
+        if row is not None:
+            self._rows.move_to_end(key)
+        return row
+
+    def put(self, key: tuple[int, ...], row: tuple) -> None:
+        self._rows[key] = row
+        self._entries += len(row[0]) + 1
+        while self._entries > self.max_entries:
+            _, old = self._rows.popitem(last=False)
+            self._entries -= len(old[0]) + 1
+
+
+class _Table:
+    """The contributing-set recursion over one upper bound's downset context.
+
+    Rows are the sum-indecomposable members and the upper bound itself (the
+    top); the row of member a lists (b, r, w) for each sum-indecomposable
+    member b strictly below a with nonzero weight w toward a.  Each row
+    comes from the row store or is computed in this context (_context_row).
+    The top's row is kept as it is; a solve reads all rows by column,
+    (a, w) for each row a that lists b, so that it pushes each known
+    mu(sigma, b) up to the rows above b and touches only the entries above
+    sigma.
+    """
+
+    __slots__ = ("ctx", "top", "top_row", "_base", "_above", "_columns")
+
+    def __init__(self, ctx: DownsetContext, rows: _RowStore):
+        members = ctx.members
+        self.ctx = ctx
+        self.top = top = len(members) - 1
+        # mu(sigma, a) of a row a below the top and at least two longer
+        # than a sigma below it, where a closed form gives it: 0 for a chain
+        # k...1 (sigma is a shorter chain), 1 for 231 and 312 (sigma is 1).
+        closed = {tuple(range(k, 0, -1)): 0 for k in range(1, len(ctx.pi.values))}
+        closed[(2, 3, 1)] = closed[(3, 1, 2)] = 1
+        self._base = base = {}
+        for vals, v in closed.items():
+            a = ctx.index.get(vals, top)
+            if a != top:
+                base[a] = v
+        rowmask = np.array([is_sum_indecomposable(p) for p in members], dtype=np.int8)
+        rowmask[top] = 1
+        # above[s * m + a] is 1 when row a contains member s.
+        self._above = (ctx.leq.T & rowmask).tobytes()
+        self._columns: dict[int, list[tuple[int, int]]] = {}
+        families: dict[int, list[tuple[int, ...]]] = {}
+        for a in np.flatnonzero(rowmask).tolist():
+            if a in base:
+                continue  # a base row's sum is never read
+            key = members[a].values
+            stored = rows.get(key)
+            if stored is None:
+                row = _context_row(ctx, a, rowmask, families)
+                rows.put(key, (tuple(members[b].values for b in row[0]), *row[1:]))
+            else:
+                row = (list(map(ctx.index.__getitem__, stored[0])), *stored[1:])
+            if a == top:
+                self.top_row = row
+            for b, w in zip(row[0], row[2]):
+                self._columns.setdefault(b, []).append((a, w))
+
+    def solve(self, sidx: int) -> list[int]:
+        """mu(sigma, a) for sigma = member sidx (below the top) and every
+        row a above it; every other entry is 0.  Rows are visited shortest
+        first: sigma is 1, a row one longer is -1, a base row takes its
+        closed form and any other row minus the sum its shorter rows have
+        pushed into it."""
+        ctx = self.ctx
+        m = len(ctx.members)
+        groups = ctx.groups
+        slen = len(ctx.members[sidx].values)
+        cut = groups[slen + 2][1] if slen + 2 < len(groups) else m
+        base, columns = self._base, self._columns
+        mu = [0] * m
+        for b in itertools.compress(range(m), self._above[sidx * m : (sidx + 1) * m]):
+            if b < cut:
+                v = 1 if b == sidx else -1
+            else:
+                v = base.get(b)
+                if v is None:
+                    v = -mu[b]
+            mu[b] = v
+            if v:
+                for a, w in columns.get(b, ()):
+                    mu[a] += v * w
+        return mu
+
+
+def _context_row(
+    ctx: DownsetContext,
+    a: int,
+    rowmask: np.ndarray,
+    families: dict[int, list[tuple[int, ...]]],
+) -> _Row:
+    """Member a's row, b ascending, computed in ctx: the candidates are the
+    rows (rowmask) strictly below a, and each candidate's family is looked
+    up once per context (families)."""
+    lo = ctx.groups[len(ctx.members[a].values)][1]
+    # below[i] is 1 exactly when member i is strictly below member a:
+    # shorter than a and contained in it.  Index len(members), a family
+    # member outside the downset, is never below.
+    below = ctx.leq[a, :lo].tobytes().ljust(len(ctx.members) + 1, b"\0")
+    bs, rs, ws = [], [], []
+    for b in np.flatnonzero(ctx.leq[a, :lo] & rowmask[:lo]).tolist():
+        fam = families.get(b) or _member_family(ctx, b, families)
+        r, w = _rank_and_weight(fam, below.__getitem__)
+        if w:
+            bs.append(b)
+            rs.append(r)
+            ws.append(w)
+    return bs, tuple(rs), tuple(ws)
+
+
+def _member_family(
+    ctx: DownsetContext, b: int, families: dict[int, list[tuple[int, ...]]]
+) -> list[tuple[int, ...]]:
+    """Member indices of b's family for r = 1, 2, ... (stored in
+    families); a member outside the downset gets index len(members)."""
+    a = ctx.members[b].values
+    absent = (len(ctx.members),) * 4
+    fam = []
+    for r in itertools.count(1):
+        fam.append(tuple(map(ctx.index.get, _cached_family_values(a, r), absent)))
+        if fam[-1][3] == absent[3]:
+            break
+    # A capped stack outside the downset is below no row, so no rank passes
+    # this r; the weight reads only the next entry's stack.
+    stack = _iterated_sum_values(a, r + 1)
+    fam.append((ctx.index.get(stack, absent[0]),) + absent[1:])
+    families[b] = fam
+    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -180,57 +361,57 @@ class MobiusEngine:
         self.cache = cache if cache is not None else MobiusCache()
         self.downset_cap = downset_cap
         self.stats = {"naive_fallbacks": 0, "theorem_calls": 0}
-        # Candidate lists (alpha index, alpha, r, weight) per upper bound.
-        self._candidates: OrderedDict[
-            tuple[int, ...], list[tuple[int, Permutation, int, int]]
-        ] = OrderedDict()
-        self._candidates_max = 4096
+        # Contributing-set tables per upper bound, and the rows they share.
+        self._candidates: OrderedDict[tuple[int, ...], _Table] = OrderedDict()
+        self._candidates_max = 64
+        self._rows = _RowStore()
 
-    # -- candidate enumeration -------------------------------------------
+    # -- contributing-set table ---------------------------------------------
 
-    def _candidate_list(self, pi: Permutation):
-        """Sum-indecomposable members strictly below pi with nonzero weight;
-        sigma-independent, so cached per upper bound."""
-        cached = self._candidates.get(pi.values)
-        if cached is not None:
-            self._candidates.move_to_end(pi.values)
-            return cached
-        ctx = _capped_ctx(pi, self.downset_cap)
-        n = len(pi.values)
-        has = ctx.index.__contains__
-        out: list[tuple[int, Permutation, int, int]] = []
-        for idx, member in enumerate(ctx.members):
-            a = member.values
-            if not a or len(a) >= n or not is_sum_indecomposable(member):
-                continue
-            r, w = _rank_and_weight(a, n, has)
-            if w:
-                out.append((idx, member, r, w))
-        self._candidates[pi.values] = out
+    def _candidate_list(self, pi: Permutation) -> list[int]:
+        """Build pi's table and return the candidates of pi's own row."""
+        table = _Table(_capped_ctx(pi, self.downset_cap), self._rows)
+        self._candidates[pi.values] = table
         if len(self._candidates) > self._candidates_max:
             self._candidates.popitem(last=False)
-        return out
+        return table.top_row[0]
 
-    def _contributions(
-        self, sigma: Permutation, pi: Permutation
-    ) -> Iterator[tuple[Permutation, int, int]]:
-        """(alpha, r, weight) for each candidate of pi that lies above sigma."""
-        ctx = _capped_ctx(pi, self.downset_cap)
-        sidx = ctx.index.get(sigma.values)
-        if sidx is None:
-            return
-        for idx, alpha, r, w in self._candidate_list(pi):
-            if (ctx.reach[idx] >> sidx) & 1:
-                yield alpha, r, w
+    def _table(self, pi: Permutation) -> _Table:
+        table = self._candidates.get(pi.values)
+        if table is None:
+            self._candidate_list(pi)
+            return self._candidates[pi.values]
+        self._candidates.move_to_end(pi.values)
+        return table
 
     def contributing_set(
         self, sigma: Permutation, pi: Permutation
     ) -> list[WeightedContribution]:
-        """All sum-indecomposable alpha in [sigma, pi) with nonzero weight."""
+        """All sum-indecomposable alpha in [sigma, pi) with nonzero weight:
+        pi's own row, filtered by sigma <= alpha."""
+        table = self._table(pi)
+        ctx = table.ctx
+        sidx = ctx.index.get(sigma.values)
+        if sidx is None:
+            return []
         return [
-            WeightedContribution(alpha, r, w)
-            for alpha, r, w in self._contributions(sigma, pi)
+            WeightedContribution(ctx.members[b], r, w)
+            for b, r, w in zip(*table.top_row)
+            if ctx.leq[b, sidx]
         ]
+
+    def theorem_terms(
+        self, sigma: Permutation, pi: Permutation
+    ) -> list[tuple[WeightedContribution, int]]:
+        """contributing_set(sigma, pi), each entry with mu(sigma, alpha)
+        from the theorem's own solve."""
+        terms = self.contributing_set(sigma, pi)
+        if not terms:
+            return []
+        table = self._table(pi)
+        index = table.ctx.index
+        mu = table.solve(index[sigma.values])
+        return [(wc, mu[index[wc.alpha.values]]) for wc in terms]
 
     # -- component recursions ---------------------------------------------
 
@@ -312,9 +493,8 @@ class MobiusEngine:
     # -- contributing-set recursion ----------------------------------------
 
     def mobius_theorem(self, sigma: Permutation, pi: Permutation) -> int:
-        """mu via the weighted contributing set, recursing through the
-        dispatcher; mu(sigma, alpha) collapses to +1 / -1 for the two
-        shortest candidate lengths without recursion."""
+        """mu via the weighted contributing set, solved inside pi's one
+        downset context: every alpha the recursion reaches is a member."""
         if not is_sum_indecomposable(sigma):
             raise PreconditionViolation("lower bound must be sum-indecomposable")
         if len(pi.values) <= 3:
@@ -326,18 +506,9 @@ class MobiusEngine:
         if sigma == pi:
             return 1
         self.stats["theorem_calls"] += 1
-        slen = len(sigma.values)
-        total = 0
-        for alpha, _r, w in self._contributions(sigma, pi):
-            alen = len(alpha.values)
-            if alen == slen:
-                mu_sa = 1
-            elif alen == slen + 1:
-                mu_sa = -1
-            else:
-                mu_sa = self.mobius(sigma, alpha)
-            total += mu_sa * w
-        return -total
+        table = self._table(pi)
+        sidx = table.ctx.index.get(sigma.values)
+        return 0 if sidx is None else table.solve(sidx)[table.top]
 
     # -- dispatcher ---------------------------------------------------------
 
@@ -346,14 +517,6 @@ class MobiusEngine:
             raise PreconditionViolation(f"unknown engine {engine!r}")
         if engine == "naive":
             return mobius_naive(sigma, pi, cap=self.downset_cap)
-        if sigma == pi:
-            return 1
-        slen = len(sigma.values)
-        plen = len(pi.values)
-        if slen > plen:
-            return 0
-        if slen == 0:
-            return -1 if plen == 1 else 0
         # Only auto values are cached: an explicit engine must compute (or
         # refuse) on its own, never answer with another route's value.
         use_cache = engine == "auto"
@@ -362,38 +525,85 @@ class MobiusEngine:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        if not contains(sigma, pi):
-            return 0
-        if plen - slen == 1:
-            return -1
-        if is_identity(pi) or is_reverse_identity(pi):
-            # Containment inside a chain with a length gap >= 2.
-            return 0
-        value = self._route(sigma, pi, engine)
-        if use_cache:
-            self.cache.put(key, value)
+        value = _direct_value(sigma, pi)
+        if value is None:
+            value = self._route(sigma, pi, engine)
+            if use_cache:
+                self.cache.put(key, value)
         return value
 
     def _route(self, sigma: Permutation, pi: Permutation, engine: str) -> int:
-        if engine == "oscillation":
-            return mobius_oscillation(sigma, pi)
-        dec_pi = sum_decompose(pi)
-        if len(dec_pi.components) > 1:
-            if dec_pi.components[0].values == (1,):
-                return self.mobius_prop1(sigma, pi)
-            if is_sum_indecomposable(sigma):
-                return self.mobius_cor3(sigma, pi)
+        route, target = _route_rule(sigma, pi, engine)
+        if route == "oscillation":
+            return mobius_oscillation(sigma, target)
+        if route == "prop1":
+            return self.mobius_prop1(sigma, pi)
+        if route == "cor3":
+            return self.mobius_cor3(sigma, pi)
+        if route == "prop2":
             return self.mobius_prop2(sigma, pi)
-        if not is_sum_indecomposable(sigma):
+        if route == "theorem":
+            return self.mobius_theorem(sigma, pi)
+        if route == "fallback":
             self.stats["naive_fallbacks"] += 1
-            return mobius_naive(sigma, pi, cap=self.downset_cap)
-        if len(pi.values) <= 3:
-            return mobius_naive(sigma, pi, cap=self.downset_cap)
-        if engine == "auto":
-            pi_id = _oscillation_route(sigma, pi)
-            if pi_id is not None:
-                return mobius_oscillation(sigma, pi_id)
-        return self.mobius_theorem(sigma, pi)
+        return mobius_naive(sigma, pi, cap=self.downset_cap)
+
+
+def _direct_value(sigma: Permutation, pi: Permutation) -> Optional[int]:
+    """mu(sigma, pi) where the dispatcher needs no route (equal bounds, a
+    longer or empty lower bound, no containment, a covering pair, a chain
+    upper bound), else None."""
+    if sigma == pi:
+        return 1
+    slen = len(sigma.values)
+    plen = len(pi.values)
+    if slen > plen:
+        return 0
+    if slen == 0:
+        return -1 if plen == 1 else 0
+    if not contains(sigma, pi):
+        return 0
+    if plen - slen == 1:
+        return -1
+    if is_identity(pi) or is_reverse_identity(pi):
+        # Containment inside a chain with a length gap >= 2.
+        return 0
+    return None
+
+
+def _route_rule(
+    sigma: Permutation, pi: Permutation, engine: str
+) -> tuple[str, object]:
+    """The route of a query that _direct_value does not answer, and on the
+    oscillation route the upper bound as mobius_oscillation takes it."""
+    if engine == "oscillation":
+        return "oscillation", pi
+    cuts = _component_cuts(pi.values)
+    if len(cuts) > 1:
+        if cuts[0] == 1:
+            return "prop1", None
+        if is_sum_indecomposable(sigma):
+            return "cor3", None
+        return "prop2", None
+    if not is_sum_indecomposable(sigma):
+        return "fallback", None
+    if len(pi.values) <= 3:
+        return "naive", None
+    if engine == "auto":
+        pi_id = _oscillation_route(sigma, pi)
+        if pi_id is not None:
+            return "oscillation", pi_id
+    return "theorem", None
+
+
+def _query_route(sigma: Permutation, pi: Permutation, engine: str) -> str:
+    """The route MobiusEngine.mobius(sigma, pi, engine) takes on a cold
+    cache; "direct" when _direct_value answers it."""
+    if engine == "naive":
+        return "naive"
+    if _direct_value(sigma, pi) is not None:
+        return "direct"
+    return _route_rule(sigma, pi, engine)[0]
 
 
 def _oscillation_route(sigma: Permutation, pi: Permutation) -> Optional[OscillationId]:

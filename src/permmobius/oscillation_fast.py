@@ -364,7 +364,7 @@ def _fill_memo(sigma: Permutation, cls: PiClass, up_to: int) -> None:
         + [_memo[(skey, kind, n)] for n in range(slen + 2, done + 1)]
         for kind in "WM"
     }
-    _divisor_scan(values, "WM", up_to, cls, _even_divisor_lists(up_to + 4))
+    _divisor_scan(values, "WM", up_to, cls, _divisors_to(up_to + 4))
     for n in range(done + 1, up_to + 1):
         for kind in "WM":
             _memo[(skey, kind, n)] = values[kind][n]
@@ -375,12 +375,12 @@ def _divisor_scan(
     kinds: str,
     up_to: int,
     cls: Optional[PiClass],
-    divs: list[list[int]],
+    divs: list[tuple[int, ...]],
 ) -> None:
     """Extend values[kind] = [mu(sigma, kind_0), mu(sigma, kind_1), ...] for
     each of the given kinds up to length up_to, where sigma is the lower
-    bound of class cls (None for sigma = 1) and divs comes from
-    _even_divisor_lists(up_to + 4).
+    bound of class cls (None for sigma = 1) and divs holds the even-divisor
+    lists of every v <= up_to + 4 (_divisors_to).
 
     For a chain shape the copy cost q = 2k + c is even, and so is t = 2n - b.
     With r the least copy count with q*r > t - 4, a member's signed weight
@@ -493,12 +493,31 @@ def trace_oscillation(
 _principal: list[int] = [0, 1, -1, 1]
 
 
-def _even_divisor_lists(limit: int) -> list[list[int]]:
-    divs: list[list[int]] = [[] for _ in range(limit + 1)]
+def _even_divisor_lists(limit: int) -> list[tuple[int, ...]]:
+    """divs[v]: the even divisors q >= 4 of v, ascending, for v <= limit.
+    The table is kept, so each list is an exact-size tuple and every odd v
+    shares the empty one."""
+    half: list[list[int]] = [[] for _ in range(limit // 2 + 1)]
     for q in range(4, limit + 1, 2):
-        for v in range(q, limit + 1, q):
-            divs[v].append(q)
+        for v in range(q // 2, limit // 2 + 1, q // 2):
+            half[v].append(q)
+    divs: list[tuple[int, ...]] = [()] * (limit + 1)
+    divs[::2] = map(tuple, half)
     return divs
+
+
+# The even-divisor lists shared by every scan.  The list of v does not
+# depend on the table's limit, so the table only grows, at least doubling
+# each time, and a run of ascending queries rebuilds it O(log n) times.
+_divisors: list[tuple[int, ...]] = []
+
+
+def _divisors_to(limit: int) -> list[tuple[int, ...]]:
+    """The shared even-divisor table, grown to cover v <= limit."""
+    global _divisors
+    if len(_divisors) <= limit:
+        _divisors = _even_divisor_lists(max(limit, 2 * len(_divisors)))
+    return _divisors
 
 
 def _extend_principal(n_max: int) -> None:
@@ -507,7 +526,7 @@ def _extend_principal(n_max: int) -> None:
     mu = _principal
     if n_max < len(mu):
         return
-    _divisor_scan({"W": mu, "M": mu}, "W", n_max, None, _even_divisor_lists(n_max + 4))
+    _divisor_scan({"W": mu, "M": mu}, "W", n_max, None, _divisors_to(n_max + 4))
 
 
 def _principal_value(length: int) -> int:

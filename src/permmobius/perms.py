@@ -287,11 +287,7 @@ def skew_interleave(a: Permutation, b: Permutation) -> Permutation:
 def _iterated_sum_values(vals: tuple[int, ...], r: int) -> tuple[int, ...]:
     """Values of the direct sum of r copies of the pattern with values vals."""
     block = len(vals)
-    out: list[int] = []
-    for i in range(r):
-        shift = i * block
-        out.extend(v + shift for v in vals)
-    return tuple(out)
+    return tuple([v + shift for shift in range(0, r * block, block) for v in vals])
 
 
 def iterated_sum(alpha: Permutation, r: int) -> Permutation:
@@ -498,8 +494,16 @@ def sum_decompose(pi: Permutation) -> SumDecomposition:
 
 
 def is_sum_indecomposable(pi: Permutation) -> bool:
-    """True iff pi is nonempty and has exactly one sum component."""
-    return len(pi.values) > 0 and len(_component_cuts(pi.values)) == 1
+    """True iff pi is nonempty and has exactly one sum component: the
+    first prefix of length i that holds the values 1..i is pi itself."""
+    running_max = i = 0
+    for v in pi.values:
+        i += 1
+        if v > running_max:
+            running_max = v
+        if running_max == i:
+            return i == len(pi.values)
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,13 @@ import sys
 
 import pytest
 
-from permmobius import OscillationId, cli, oscillation, principal_mu_series
+from permmobius import (
+    MobiusEngine,
+    OscillationId,
+    cli,
+    oscillation,
+    principal_mu_series,
+)
 
 WORKED_PI = "315274968"
 
@@ -89,6 +95,40 @@ def test_mobius_general_trace_lists_the_contributing_set(capsys):
         "alpha=3 1 5 2 7 4 8 6 r=1 weight=1 mu=6",
         "-6",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (["mobius", "1", "1324", "--trace"], "-1"),
+        (["mobius", "1", "3142", "--engine", "naive", "--trace"], "-3"),
+        (["mobius", "231", "2413", "--engine", "general", "--trace"], "-1"),
+    ],
+)
+def test_mobius_trace_lists_no_contributing_set_off_the_theorem_route(
+    capsys, argv, value
+):
+    rc, out, _ = run_cli(capsys, argv)
+    assert (rc, out) == (0, value + "\n")
+
+
+def test_mobius_general_trace_takes_its_values_from_one_solve(
+    capsys, monkeypatch
+):
+    calls = []
+    original = MobiusEngine.mobius
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MobiusEngine, "mobius", counted)
+    rc, out, _ = run_cli(
+        capsys, ["mobius", "3142", WORKED_PI, "--engine", "general", "--trace"]
+    )
+    assert (rc, out.splitlines()[-1]) == (0, "-6")
+    assert len(out.splitlines()) == 8
+    assert len(calls) == 1
 
 
 def test_mobius_accepts_tuning_flags(capsys):

@@ -36,7 +36,8 @@ from permmobius import (
     principal_mu_series,
     weight_general,
 )
-from permmobius import perms
+from permmobius import engine as engine_module
+from permmobius import perms, poset
 
 from helpers import all_perm_tuples
 
@@ -449,3 +450,94 @@ def test_a_memo_hit_classifies_nothing(monkeypatch):
     # only validated lower bounds are stored, so the hit needs no check
     assert mobius_oscillation(sigma, w9) == expected
     assert calls == []
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    original = getattr(owner, name)
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_general_solves_inside_one_context_without_cache_or_fast_path(monkeypatch):
+    sigma, w9 = TWO_ONE, oscillation(OscillationId("W", 9))
+    expected = mobius_naive(sigma, w9)
+    poset._downset_ctx.cache_clear()
+    builds = _count_calls(monkeypatch, poset.DownsetContext, "__init__")
+    gets = _count_calls(monkeypatch, MobiusCache, "get")
+    puts = _count_calls(monkeypatch, MobiusCache, "put")
+    fast = _count_calls(monkeypatch, engine_module, "mobius_oscillation")
+    assert MobiusEngine().mobius(sigma, w9, engine="general") == expected
+    assert (len(builds), len(fast), len(gets), len(puts)) == (1, 0, 0, 0)
+
+
+def test_a_cold_auto_theorem_query_builds_one_context(monkeypatch):
+    pi = P("12 6 7 5 8 9 11 10 3 2 1 4")
+    poset._downset_ctx.cache_clear()
+    builds = _count_calls(monkeypatch, poset.DownsetContext, "__init__")
+    engine = MobiusEngine()
+    assert engine.mobius(TWO_ONE, pi) == 0
+    assert len(builds) == 1
+    assert engine.stats["theorem_calls"] == 1
+
+
+def test_the_route_rule_names_the_route_each_query_takes():
+    cases = [
+        ("1", "1324", "auto", "prop1"),
+        ("21", "214365", "auto", "cor3"),
+        ("2143", "214365", "auto", "prop2"),
+        ("2143", "315264", "auto", "fallback"),
+        ("1", "3142", "naive", "naive"),
+        ("1", "231", "auto", "naive"),
+        ("3142", "315274968", "auto", "oscillation"),
+        ("3142", "315274968", "general", "theorem"),
+        ("21", "369258147", "auto", "theorem"),
+        ("21", "2413", "oscillation", "oscillation"),
+        ("231", "2413", "general", "direct"),
+        ("21", "4321", "general", "direct"),
+        ("3142", "3142", "general", "direct"),
+    ]
+    for sigma, pi, name, route in cases:
+        assert engine_module._query_route(P(sigma), P(pi), name) == route, (
+            sigma,
+            pi,
+            name,
+        )
+
+
+def test_theorem_terms_carry_the_values_of_the_theorem_solve(engine):
+    sigma, pi = P("3142"), P("315274968")
+    terms = engine.theorem_terms(sigma, pi)
+    assert [wc for wc, _ in terms] == engine.contributing_set(sigma, pi)
+    for wc, mu in terms:
+        assert mu == mobius_naive(sigma, wc.alpha), wc
+    assert engine.theorem_terms(P("4321"), pi) == []
+
+
+def test_the_table_store_is_bounded():
+    engine = MobiusEngine()
+    pis = [Permutation(pv) for pv in itertools.islice(all_perm_tuples(5), 80)]
+    for pi in pis:
+        engine.contributing_set(ONE, pi)
+    assert len(engine._candidates) == 64
+    assert list(engine._candidates) == [pi.values for pi in pis[-64:]]
+
+
+def test_a_tiny_row_store_still_computes_correct_values():
+    engine = MobiusEngine()
+    engine._rows = engine_module._RowStore(max_entries=8)
+    for n in range(4, 7):
+        for pv in itertools.islice(all_perm_tuples(n), 0, None, 7):
+            pi = Permutation(pv)
+            if is_identity(pi) or is_reverse_identity(pi):
+                continue
+            for sigma, expected in mobius_naive_column(pi).items():
+                if is_sum_indecomposable(sigma) and sigma != pi:
+                    assert engine.mobius_theorem(sigma, pi) == expected, (sigma, pi)
+    assert engine._rows._entries <= 8

@@ -33,6 +33,7 @@ from permmobius import (
     trace_oscillation,
     weight_osc,
 )
+from permmobius import oscillation_fast
 from permmobius.oscillation_fast import clear_oscillation_memo
 from permmobius.perms import SHAPE_KINDS
 
@@ -413,3 +414,29 @@ def test_divisor_scan_matches_the_per_block_count_recursion():
             got = {(id.kind, id.n): mobius_oscillation(sigma, id) for id in order}
             want = {key: expected[key] for key in got}
             assert got == want, sigma
+
+
+def test_ascending_queries_grow_the_divisor_table_a_logarithmic_number_of_times(
+    monkeypatch,
+):
+    sigma = oscillation(OscillationId("W", 5))
+    expected = mobius_osc_ref(sigma.values, 66)
+    clear_oscillation_memo()
+    monkeypatch.setattr(oscillation_fast, "_divisors", [])
+    original = oscillation_fast._even_divisor_lists
+    limits = []
+
+    def counted(limit):
+        limits.append(limit)
+        return original(limit)
+
+    monkeypatch.setattr(oscillation_fast, "_even_divisor_lists", counted)
+    for n in range(7, 67):
+        id = OscillationId("W", n)
+        assert mobius_oscillation(sigma, id) == expected[("W", n)]
+    assert 1 <= len(limits) <= 5
+    assert all(b >= 2 * a for a, b in zip(limits, limits[1:]))
+    # clearing the memo keeps the table, and the values stay right
+    clear_oscillation_memo()
+    assert mobius_oscillation(sigma, OscillationId("M", 40)) == expected[("M", 40)]
+    assert len(limits) <= 5
