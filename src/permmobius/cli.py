@@ -144,16 +144,17 @@ def _cmd_mobius(args: argparse.Namespace) -> tuple[list[str], int]:
     engine = _make_engine(args)
     lines: list[str] = []
     if args.trace:
-        use_oscillation = args.engine == "oscillation" or (
-            args.engine == "auto" and _oscillation_route(sigma, pi) is not None
-        )
-        if use_oscillation:
-            lines.extend(trace_oscillation(sigma, pi))
-        elif _query_route(sigma, pi, args.engine) == "theorem":
+        if _query_route(sigma, pi, args.engine)[0] == "theorem":
             for wc, mu_sa in engine.theorem_terms(sigma, pi):
                 lines.append(
                     f"alpha={wc.alpha} r={wc.r} weight={wc.weight} mu={mu_sa}"
                 )
+        elif args.engine == "oscillation" or (
+            args.engine == "auto" and _oscillation_route(sigma, pi) is not None
+        ):
+            # The fast path's tables, printed also for a pair that the
+            # dispatcher answers directly (a covering pair, sigma = pi).
+            lines.extend(trace_oscillation(sigma, pi))
     lines.append(str(engine.mobius(sigma, pi, engine=args.engine)))
     return lines, EXIT_OK
 

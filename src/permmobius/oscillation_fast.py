@@ -329,7 +329,11 @@ _memo: dict[tuple[tuple[int, ...], str, int], int] = {}
 
 
 def clear_oscillation_memo() -> None:
+    """Drop the memo and release the even-divisor table (it is rebuilt on
+    the next scan); the principal series is kept."""
+    global _divisors
     _memo.clear()
+    _divisors = []
 
 
 def _sigma_leq_osc(sigma: OscillationId, id: OscillationId) -> bool:

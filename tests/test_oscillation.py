@@ -436,7 +436,10 @@ def test_ascending_queries_grow_the_divisor_table_a_logarithmic_number_of_times(
         assert mobius_oscillation(sigma, id) == expected[("W", n)]
     assert 1 <= len(limits) <= 5
     assert all(b >= 2 * a for a, b in zip(limits, limits[1:]))
-    # clearing the memo keeps the table, and the values stay right
+    # clearing the memo releases the table; the next scan rebuilds it once
+    # and the values stay right
+    builds = len(limits)
     clear_oscillation_memo()
+    assert oscillation_fast._divisors == []
     assert mobius_oscillation(sigma, OscillationId("M", 40)) == expected[("M", 40)]
-    assert len(limits) <= 5
+    assert len(limits) == builds + 1
