@@ -37,7 +37,7 @@ from permmobius import (
     weight_general,
 )
 from permmobius import engine as engine_module
-from permmobius import perms, poset
+from permmobius import oscillation_fast, poset
 
 from helpers import all_perm_tuples
 
@@ -418,9 +418,10 @@ def test_long_oscillation_in_oscillation_reaches_the_fast_path():
 
 
 def _count_classifications(monkeypatch) -> list:
-    """Replace every binding of classify_oscillation in the package's
-    modules by a wrapper that records its arguments."""
-    original = perms.classify_oscillation
+    """Replace every binding of oscillation_id, the one oscillation
+    classifier, in the package's modules by a wrapper that records its
+    arguments."""
+    original = oscillation_fast.oscillation_id
     calls: list = []
 
     def counted(p):

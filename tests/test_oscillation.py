@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from permmobius import (
     NotAnOscillation,
     NotContained,
     OscillationId,
+    Overflow,
     Permutation,
     PreconditionViolation,
     Shape,
@@ -34,8 +37,8 @@ from permmobius import (
     weight_osc,
 )
 from permmobius import oscillation_fast
-from permmobius.oscillation_fast import clear_oscillation_memo
-from permmobius.perms import SHAPE_KINDS
+from permmobius.oscillation_fast import clear_oscillation_memo, oscillation_id
+from permmobius.perms import SHAPE_KINDS, classify_oscillation
 
 from helpers import mobius_osc_ref
 
@@ -390,9 +393,15 @@ def test_trace_marks_empty_shape_ranges():
 # ---------------------------------------------------------- divisor scan
 
 
-def test_divisor_scan_matches_the_per_block_count_recursion():
+@pytest.mark.parametrize(
+    "block_min", [oscillation_fast._BLOCK_MIN, 1], ids=["default", "small"]
+)
+def test_divisor_scan_matches_the_per_block_count_recursion(monkeypatch, block_min):
     # every oscillation sigma of length 2..12, both upper-bound kinds, on a
-    # cleared memo: once queried in ascending order, once with W_150 first
+    # cleared memo: once queried in ascending order, once with W_150 first;
+    # with a small _BLOCK_MIN every extension past the head takes the block
+    # form
+    monkeypatch.setattr(oscillation_fast, "_BLOCK_MIN", block_min)
     top = 150
     sigmas = []
     for length in range(2, 13):
@@ -414,6 +423,82 @@ def test_divisor_scan_matches_the_per_block_count_recursion():
             got = {(id.kind, id.n): mobius_oscillation(sigma, id) for id in order}
             want = {key: expected[key] for key in got}
             assert got == want, sigma
+    # sigma = 1: the block form equals the per-length form to n = 20,000
+    monkeypatch.setattr(oscillation_fast, "_principal", [0, 1, -1, 1])
+    by_blocks = principal_mu_series(20000)
+    monkeypatch.setattr(oscillation_fast, "_principal", [0, 1, -1, 1])
+    monkeypatch.setattr(oscillation_fast, "_BLOCK_MIN", 10**9)
+    assert principal_mu_series(20000) == by_blocks
+    # its near terms: x[n] + 2 x[n-1] - 2 x[n-3] - x[n-4] = -far[n]
+    mu = [0, 1, -1, 1]
+    near, _ = oscillation_fast._near_terms(
+        "W", oscillation_fast._chains({"W": mu, "M": mu}, None)
+    )
+    for rows in near:
+        [(kind, terms)] = rows
+        assert kind == "W" and all(member is mu for _, member, _ in terms)
+        assert sorted((lag, coef) for coef, _, lag in terms) == [(1, 2), (3, -2), (4, -1)]
+
+
+def test_the_block_form_builds_no_divisor_table_past_its_head(monkeypatch):
+    monkeypatch.setattr(oscillation_fast, "_principal", [0, 1, -1, 1])
+    monkeypatch.setattr(oscillation_fast, "_divisors", [])
+    series = principal_mu_series(20000)
+    assert series[:13] == [0, 1, -1, 1, -3, 6, -9, 11, -15, 19, -21, 23, -36]
+    # the per-length head covers lengths 4..7 and reads the lists of
+    # v <= 11; the per-length form alone builds the table past 20,000
+    assert len(oscillation_fast._divisors) <= 16
+
+
+@pytest.mark.parametrize(
+    "n_max, guard", [(300, 10**4), (20000, 10**7)], ids=["per-length", "block"]
+)
+def test_the_overflow_guard_holds_on_both_forms(monkeypatch, n_max, guard):
+    # 300 lengths take the per-length form, 20,000 the block form
+    assert 300 < oscillation_fast._BLOCK_MIN < 20000
+    want = principal_mu_series(n_max)
+    store = [0, 1, -1, 1]
+    monkeypatch.setattr(oscillation_fast, "_principal", store)
+    monkeypatch.setattr(oscillation_fast, "_INT64_GUARD", guard)
+    with pytest.raises(Overflow):
+        principal_mu_series(n_max)
+    # the store holds only values that passed the check
+    assert 4 < len(store) < n_max + 1
+    assert store == want[: len(store)]
+    assert all(abs(x) < guard for x in store)
+    monkeypatch.undo()
+    monkeypatch.setattr(oscillation_fast, "_principal", store)
+    assert principal_mu_series(n_max) == want
+
+
+def _classified_id(p):
+    """oscillation_id by the shape classifier."""
+    if len(p.values) == 1:
+        return OscillationId("W", 1)
+    shape = classify_oscillation(p)
+    return None if shape is None else oscillation_fast._shape_member_id(shape.kind, shape.k)
+
+
+def test_oscillation_id_agrees_with_the_shape_classifier():
+    for n in range(9):
+        for values in itertools.permutations(range(1, n + 1)):
+            p = Permutation(values)
+            assert oscillation_id(p) == _classified_id(p), values
+    # W_n / M_n to n = 300 and their one-transposition neighbours: every
+    # one for n <= 12, past that those among the three first and three
+    # last positions, where the two end adjustments sit
+    for n in range(1, 301):
+        ends = range(n) if n <= 12 else [0, 1, 2, n - 3, n - 2, n - 1]
+        for kind in "WM":
+            values = oscillation(OscillationId(kind, n)).values
+            assert oscillation_id(Permutation(values)) == OscillationId(
+                "W" if n <= 2 else kind, n
+            )
+            for i, j in itertools.combinations(ends, 2):
+                swapped = list(values)
+                swapped[i], swapped[j] = swapped[j], swapped[i]
+                p = Permutation(swapped)
+                assert oscillation_id(p) == _classified_id(p), (kind, n, i, j)
 
 
 def test_ascending_queries_grow_the_divisor_table_a_logarithmic_number_of_times(
