@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import RangeError
 from .oscillation_fast import principal_mu_series
@@ -33,18 +33,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeriesRecord:
-    """One length of the principal series.
+    """One length n of the principal series: mu_W = mu(1, W_n), which equals
+    mu(1, M_n).
 
-    E is populated for even lengths 2m (|mu| / m^2), O for odd lengths
-    2m+1 (|mu| / (m^2 + m)); the other field is None.
+    ``ratio`` is the normalized value: |mu| / m^2 at even lengths 2m and
+    |mu| / (m^2 + m) at odd lengths 2m + 1.
     """
 
     n: int
     mu_W: int
-    mu_M: int
-    M_abs: int
-    E: Optional[float]
-    O: Optional[float]
+
+    @property
+    def ratio(self) -> float:
+        m = self.n // 2
+        return abs(self.mu_W) / (m * m if self.n % 2 == 0 else m * m + m)
 
 
 def principal_series(n_max: int) -> list[SeriesRecord]:
@@ -52,20 +54,16 @@ def principal_series(n_max: int) -> list[SeriesRecord]:
     if n_max < 4:
         raise RangeError(f"series needs n_max >= 4, got {n_max}")
     mu = principal_mu_series(n_max)
-    records = []
-    for n in range(4, n_max + 1):
-        value = mu[n]
-        m_abs = abs(value)
-        if n % 2 == 0:
-            m = n // 2
-            e: Optional[float] = m_abs / (m * m)
-            o: Optional[float] = None
-        else:
-            m = (n - 1) // 2
-            e = None
-            o = m_abs / (m * m + m)
-        records.append(SeriesRecord(n, value, value, m_abs, e, o))
-    return records
+    return [SeriesRecord(n, mu[n]) for n in range(4, n_max + 1)]
+
+
+def _require_lengths(present: dict, lo: int, hi: int) -> None:
+    """Raise RangeError naming the first length of lo..hi not in present."""
+    for n in range(lo, hi + 1):
+        if n not in present:
+            raise RangeError(
+                f"series does not cover length {n} of the window {lo}..{hi}"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,10 +113,6 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _abs_by_length(series: Sequence[SeriesRecord]) -> dict[int, int]:
-    return {rec.n: rec.M_abs for rec in series}
-
-
 def jelinek_check(
     n_lo: int, n_hi: int, series: Sequence[SeriesRecord]
 ) -> list[Violation]:
@@ -131,11 +125,8 @@ def jelinek_check(
         raise RangeError(f"the biconditionals are asserted for n > 50, got {n_lo}")
     if n_hi < n_lo:
         raise RangeError(f"empty range {n_lo}..{n_hi}")
-    m_abs = _abs_by_length(series)
-    if 2 * n_hi + 1 not in m_abs or 2 * n_lo not in m_abs:
-        raise RangeError(
-            f"series does not cover lengths {2 * n_lo}..{2 * n_hi + 1}"
-        )
+    m_abs = {rec.n: abs(rec.mu_W) for rec in series}
+    _require_lengths(m_abs, 2 * n_lo, 2 * n_hi + 1)
     violations: list[Violation] = []
     for n in range(n_lo, n_hi + 1):
         prime = is_prime(n + 1)
@@ -226,17 +217,15 @@ def banding_report(
     """
     if n_lo < 4 or n_hi <= n_lo:
         raise RangeError(f"invalid banding window {n_lo}..{n_hi}")
+    ratios = {rec.n: rec.ratio for rec in series if n_lo <= rec.n <= n_hi}
+    _require_lengths(ratios, n_lo, n_hi)
     per_residue: dict[int, list[float]] = {r: [] for r in range(12)}
     excess: list[Violation] = []
-    for rec in series:
-        if rec.n < n_lo or rec.n > n_hi:
-            continue
-        ratio = rec.E if rec.E is not None else rec.O
-        per_residue[rec.n % 12].append(ratio)
+    for n in range(n_lo, n_hi + 1):
+        ratio = ratios[n]
+        per_residue[n % 12].append(ratio)
         if ratio > 1.0:
-            excess.append(Violation(rec.n, "ratio<=1", "<= 1", ratio))
-    if all(not vals for vals in per_residue.values()):
-        raise RangeError(f"series does not cover the window {n_lo}..{n_hi}")
+            excess.append(Violation(n, "ratio<=1", "<= 1", ratio))
 
     bands = tuple(
         BandReport(
@@ -327,8 +316,9 @@ def loglog_export(
     for rec in series:
         if rec.n < n_lo or rec.n > n_hi:
             continue
-        if rec.M_abs == 0:
+        m_abs = abs(rec.mu_W)
+        if m_abs == 0:
             skipped += 1
             continue
-        rows.append((math.log(rec.n), math.log(rec.M_abs)))
+        rows.append((math.log(rec.n), math.log(m_abs)))
     return rows, skipped

@@ -205,8 +205,8 @@ def _cmd_series(args: argparse.Namespace) -> tuple[list[str], int]:
             {
                 "n": rec.n,
                 "mu": rec.mu_W,
-                "abs": rec.M_abs,
-                "ratio": rec.E if rec.E is not None else rec.O,
+                "abs": abs(rec.mu_W),
+                "ratio": rec.ratio,
                 "class_mod_12": rec.n % 12,
             }
             for rec in records
@@ -214,11 +214,10 @@ def _cmd_series(args: argparse.Namespace) -> tuple[list[str], int]:
         return [json.dumps(payload)], EXIT_OK
     lines = ["n,kind,mu,abs,ratio,class_mod_12"]
     for rec in records:
-        ratio = rec.E if rec.E is not None else rec.O
-        for kind, mu in (("W", rec.mu_W), ("M", rec.mu_M)):
-            lines.append(
-                f"{rec.n},{kind},{mu},{rec.M_abs},{_fmt_float(ratio)},{rec.n % 12}"
-            )
+        # mu(1, W_n) = mu(1, M_n): both rows print the one value
+        tail = f"{rec.mu_W},{abs(rec.mu_W)},{_fmt_float(rec.ratio)},{rec.n % 12}"
+        lines.append(f"{rec.n},W,{tail}")
+        lines.append(f"{rec.n},M,{tail}")
     return lines, EXIT_OK
 
 
@@ -248,25 +247,22 @@ def _crosscheck(args: argparse.Namespace) -> list[Violation]:
 def _cmd_check(args: argparse.Namespace) -> tuple[list[str], int]:
     constants: Optional[dict] = None
     deviations: list[Violation] = []
-    if args.suite == "sign":
-        n_max = args.n_max or 5000
-        lo, hi = 4, n_max
-        records = principal_series(n_max)
-        violations = []
-        for rec in records:
-            if rec.n % 2 == 0 and rec.mu_W >= 0:
-                violations.append(Violation(rec.n, "sign-even", "< 0", rec.mu_W))
-            elif rec.n % 2 == 1 and rec.mu_W <= 0:
-                violations.append(Violation(rec.n, "sign-odd", "> 0", rec.mu_W))
-    elif args.suite == "bound":
-        n_max = args.n_max or 5000
-        lo, hi = 4, n_max
-        records = principal_series(n_max)
-        violations = [
-            Violation(rec.n, "bound-2^n", f"<= 2^{rec.n}", rec.M_abs)
-            for rec in records
-            if rec.M_abs > (1 << rec.n)
-        ]
+    if args.suite in ("sign", "bound"):
+        lo, hi = 4, 5000 if args.n_max is None else args.n_max
+        records = principal_series(hi)
+        if args.suite == "bound":
+            violations = [
+                Violation(rec.n, "bound-2^n", f"<= 2^{rec.n}", abs(rec.mu_W))
+                for rec in records
+                if abs(rec.mu_W) > (1 << rec.n)
+            ]
+        else:
+            violations = []
+            for rec in records:
+                if rec.n % 2 == 0 and rec.mu_W >= 0:
+                    violations.append(Violation(rec.n, "sign-even", "< 0", rec.mu_W))
+                elif rec.n % 2 == 1 and rec.mu_W <= 0:
+                    violations.append(Violation(rec.n, "sign-odd", "> 0", rec.mu_W))
     elif args.suite == "jelinek":
         lo, hi = args.range or (51, 10000)
         records = principal_series(2 * hi + 1)

@@ -38,11 +38,10 @@ class DownsetContext:
     """Downset of a fixed upper bound with containment structure solved once.
 
     members are ascending by (length, values); ``leq[j, i]`` is 1 exactly
-    when member i is contained in member j; ``reach[j]`` is the same row as
-    a bitmask over member indices.
+    when member i is contained in member j.
     """
 
-    __slots__ = ("pi", "members", "index", "reach", "leq", "groups", "_column")
+    __slots__ = ("pi", "members", "index", "leq", "groups", "_column")
 
     def __init__(self, pi: Permutation):
         # Each member's point-deletion children, computed once per member;
@@ -69,6 +68,7 @@ class DownsetContext:
 
         m = len(members)
         index = {p.values: i for i, p in enumerate(members)}
+        # reach[j]: the members contained in member j, as a bitmask
         reach = [0] * m
         for j, p in enumerate(members):
             mask = 1 << j
@@ -86,7 +86,6 @@ class DownsetContext:
         self.pi = pi
         self.members = tuple(members)
         self.index = index
-        self.reach = reach
         self.leq = leq
         self.groups = groups
         self._column = None

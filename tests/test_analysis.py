@@ -31,8 +31,9 @@ P = parse_permutation
 def test_series_record_fields_at_the_start():
     series = principal_series(12)
     assert [rec.n for rec in series] == list(range(4, 13))
-    assert series[0] == SeriesRecord(n=4, mu_W=-3, mu_M=-3, M_abs=3, E=0.75, O=None)
-    assert series[1] == SeriesRecord(n=5, mu_W=6, mu_M=6, M_abs=6, E=None, O=1.0)
+    assert series[0] == SeriesRecord(n=4, mu_W=-3)
+    assert series[1] == SeriesRecord(n=5, mu_W=6)
+    assert (series[0].ratio, series[1].ratio) == (0.75, 1.0)
     assert [rec.mu_W for rec in series] == [-3, 6, -9, 11, -15, 19, -21, 23, -36]
 
 
@@ -40,21 +41,19 @@ def test_series_matches_the_oracle_on_small_lengths():
     one = P("1")
     for rec in principal_series(9):
         assert rec.mu_W == mobius_naive(one, oscillation(OscillationId("W", rec.n)))
-        assert rec.mu_M == mobius_naive(one, oscillation(OscillationId("M", rec.n)))
+        assert rec.mu_W == mobius_naive(one, oscillation(OscillationId("M", rec.n)))
 
 
 def test_series_parity_ratios_and_orientation_agreement(series_1001):
+    # orientation agreement (W_n against M_n) is checked against the oracle
+    # in test_series_matches_the_oracle_on_small_lengths
     for rec in series_1001:
-        assert rec.mu_W == rec.mu_M
-        assert rec.M_abs == abs(rec.mu_W)
         if rec.n % 2 == 0:
             m = rec.n // 2
-            assert rec.O is None
-            assert rec.E == pytest.approx(rec.M_abs / (m * m))
+            assert rec.ratio == pytest.approx(abs(rec.mu_W) / (m * m))
         else:
             m = (rec.n - 1) // 2
-            assert rec.E is None
-            assert rec.O == pytest.approx(rec.M_abs / (m * m + m))
+            assert rec.ratio == pytest.approx(abs(rec.mu_W) / (m * m + m))
 
 
 def test_series_rejects_too_small_windows():
@@ -99,9 +98,12 @@ def test_jelinek_window_validation(series_1001):
         jelinek_check(50, 100, series_1001)
     with pytest.raises(RangeError):
         jelinek_check(200, 100, series_1001)
-    # coverage requires both series endpoints: length 2*n_hi + 1 in range
+    # coverage requires every length 2*n_lo..2*n_hi + 1, the ends included
     with pytest.raises(RangeError):
         jelinek_check(51, 600, series_1001)
+    holed = [rec for rec in series_1001 if rec.n != 300]
+    with pytest.raises(RangeError, match="length 300 "):
+        jelinek_check(51, 500, holed)
 
 
 def test_jelinek_flags_a_doctored_series(series_1001):
@@ -109,7 +111,7 @@ def test_jelinek_flags_a_doctored_series(series_1001):
     # so the even value at length 192 must equal 96^2 exactly
     assert is_prime(97) and 96 % 6 == 0
     doctored = [
-        dataclasses.replace(rec, M_abs=96 * 96 - 7)
+        dataclasses.replace(rec, mu_W=-(96 * 96 - 7))
         if rec.n == 192
         else rec
         for rec in series_1001
@@ -160,6 +162,8 @@ def test_banding_window_validation(series_1001):
         banding_report(100, 100, series_1001)
     with pytest.raises(RangeError):
         banding_report(5000, 6000, series_1001)
+    with pytest.raises(RangeError, match="length 1002 "):
+        banding_report(900, 2000, series_1001)
 
 
 # ------------------------------------------------------------------- plots
@@ -178,9 +182,9 @@ def test_loglog_export_rows_are_log_pairs():
 
 def test_loglog_export_counts_skipped_zero_entries():
     series = [
-        SeriesRecord(n=4, mu_W=-3, mu_M=-3, M_abs=3, E=0.75, O=None),
-        SeriesRecord(n=5, mu_W=0, mu_M=0, M_abs=0, E=None, O=0.0),
-        SeriesRecord(n=6, mu_W=-9, mu_M=-9, M_abs=9, E=1.0, O=None),
+        SeriesRecord(n=4, mu_W=-3),
+        SeriesRecord(n=5, mu_W=0),
+        SeriesRecord(n=6, mu_W=-9),
     ]
     rows, skipped = loglog_export(series, 4, 6)
     assert skipped == 1

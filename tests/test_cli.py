@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -243,6 +244,38 @@ def test_series_loglog_rows_and_skip_counter(capsys):
     assert err == "skipped: 0\n"
 
 
+# sha256 of stdout; the series values and ratios are pinned to the last byte
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["series", "--n-max", "2000"],
+            "6498305bd303951f458b6307174a5938598e1f269dde1976ea079cf23bbd74c1",
+        ),
+        (
+            ["series", "--n-max", "2000", "--format", "json"],
+            "8bb3bf37a0aa84ba550649c1c77d3c2591c18b177eb46583725b8673ed93e40c",
+        ),
+        (
+            ["series", "--n-max", "2000", "--loglog"],
+            "6db717bb1f0d63e60c1257669fc593c103a6d2d1cc559e990e2dafdfe93973c3",
+        ),
+        (
+            ["check", "--suite", "banding", "--range", "1000..4000"],
+            "8855e65f0c3aadaff09cf0aae0a50b61799b71f48e01e246c542d924d3e202e0",
+        ),
+        (
+            ["check", "--suite", "jelinek", "--range", "51..2000"],
+            "b406fbdede63bb02f7e7f3f042ad941421159a9145a26d1f8f598b2e90fd1ba9",
+        ),
+    ],
+)
+def test_series_and_check_outputs_are_pinned(capsys, argv, digest):
+    rc, out, _ = run_cli(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_series_rejects_small_n_max(capsys):
     rc, _, err = run_cli(capsys, ["series", "--n-max", "3"])
     assert rc == 1
@@ -265,6 +298,13 @@ def test_check_bound_is_clean(capsys):
     rc, out, _ = run_cli(capsys, ["check", "--suite", "bound", "--n-max", "200"])
     assert rc == 0
     assert json.loads(out)["violations"] == []
+
+
+@pytest.mark.parametrize("suite", ["sign", "bound"])
+def test_check_sign_and_bound_reject_n_max_zero(capsys, suite):
+    rc, out, err = run_cli(capsys, ["check", "--suite", suite, "--n-max", "0"])
+    assert (rc, out) == (1, "")
+    assert "error" in err
 
 
 def test_check_jelinek_range(capsys):
