@@ -53,6 +53,16 @@ def _parse_range(text: str) -> tuple[int, int]:
         ) from exc
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permmobius",
@@ -67,14 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             p.add_argument(
                 "--downset-cap",
-                type=int,
+                type=_nonnegative_int,
                 default=DEFAULT_DOWNSET_CAP,
                 help="maximum upper-bound length for exhaustive enumeration",
             )
         if cache:
             p.add_argument(
                 "--cache-bytes",
-                type=int,
+                type=_nonnegative_int,
                 default=None,
                 help="value-cache budget in bytes (default: 256 MiB)",
             )

@@ -110,7 +110,7 @@ class Permutation:
         return self._hash
 
     def __str__(self) -> str:
-        return " ".join(str(v) for v in self.values)
+        return " ".join(map(str, self.values))
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.values)!r})"

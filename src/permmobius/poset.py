@@ -8,6 +8,11 @@ with mu(sigma, sigma) = 1 and mu(sigma, pi) = 0 when sigma is not contained
 in pi.  It enumerates the full downset of pi once and solves for a whole
 column mu(. , pi) in one pass, so repeated queries against the same upper
 bound are cheap.
+
+The enumeration keys each member as a str with one code point per value:
+deleting a point is one slice and one C-level str.translate that
+renormalizes the values above it.  A str holds any code point, so the
+keys put no limit on the length of pi.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import Overflow, TooLarge
-from .perms import Permutation, _delete_value_at
+from .perms import Permutation
 
 __all__ = [
     "DEFAULT_DOWNSET_CAP",
@@ -38,44 +43,48 @@ class DownsetContext:
     """Downset of a fixed upper bound with containment structure solved once.
 
     members are ascending by (length, values); ``leq[j, i]`` is 1 exactly
-    when member i is contained in member j.
+    when member i is contained in member j.  The build enumerates members
+    as code-point strings, one str.translate per point deletion, for an
+    upper bound of any length; each key is decoded to a Permutation once.
     """
 
     __slots__ = ("pi", "members", "index", "leq", "groups", "_column")
 
     def __init__(self, pi: Permutation):
-        # Each member's point-deletion children, computed once per member;
-        # a child is kept as the tuple its level (a dict) already holds.
+        # Each member's point-deletion children are computed once; a child
+        # is kept as the key its level (a dict) already holds.
         n = len(pi.values)
-        by_len: list[dict] = [{} for _ in range(n + 1)]
-        by_len[n][pi.values] = pi.values
-        children: dict[tuple[int, ...], list[tuple[int, ...]]] = {(): []}
+        # drop[v] maps x to x - (x > v); slices of one tuple share its ints.
+        base = tuple(range(n + 1))
+        drop = [base[: v + 1] + base[v:n] for v in range(n + 1)]
+        top = "".join(map(chr, pi.values))
+        by_len: list[dict[str, str]] = [{} for _ in range(n + 1)]
+        by_len[n][top] = top
+        children: dict[str, list[str]] = {"": []}
         for length in range(n, 0, -1):
             below = by_len[length - 1]
-            for vals in by_len[length]:
-                kids = []
-                for i in range(length):
-                    c = _delete_value_at(vals, i)
-                    kids.append(below.setdefault(c, c))
-                children[vals] = kids
+            for key in by_len[length]:
+                children[key] = _delete_each_point(key, drop, below)
 
-        members: list[Permutation] = []
+        # At equal length, code-point order is value order.
+        keys: list[str] = []
         groups: list[tuple[int, int, int]] = []
         for length in range(n + 1):
-            start = len(members)
-            members.extend(Permutation._wrap(v) for v in sorted(by_len[length]))
-            groups.append((length, start, len(members)))
+            start = len(keys)
+            keys.extend(sorted(by_len[length]))
+            groups.append((length, start, len(keys)))
+        members = tuple(Permutation._wrap(tuple(map(ord, key))) for key in keys)
 
-        m = len(members)
-        index = {p.values: i for i, p in enumerate(members)}
+        m = len(keys)
+        key_index = {key: i for i, key in enumerate(keys)}
         # reach[j]: the members contained in member j, as a bitmask
         reach = [0] * m
-        for j, p in enumerate(members):
+        for j, key in enumerate(keys):
             mask = 1 << j
-            for c in children[p.values]:
-                mask |= reach[index[c]]
+            for c in children[key]:
+                mask |= reach[key_index[c]]
             reach[j] = mask
-        del by_len, children  # freed before the m x m matrix is built
+        del by_len, children, keys, key_index  # freed before the m x m matrix
 
         nbytes = (m + 7) // 8
         packed = np.frombuffer(
@@ -84,8 +93,8 @@ class DownsetContext:
         leq = np.unpackbits(packed, axis=1, bitorder="little")[:, :m].astype(np.int8)
 
         self.pi = pi
-        self.members = tuple(members)
-        self.index = index
+        self.members = members
+        self.index = {p.values: i for i, p in enumerate(members)}
         self.leq = leq
         self.groups = groups
         self._column = None
@@ -120,6 +129,19 @@ class DownsetContext:
         if int(np.abs(mu).max()) >= _INT64_GUARD:
             raise Overflow("Möbius row exceeds the 64-bit guard")
         return mu
+
+
+def _delete_each_point(
+    key: str, drop: list[tuple[int, ...]], below: dict[str, str]
+) -> list[str]:
+    """The children of one member key, one per deleted point, each as the
+    key ``below`` (the next level down) holds.  ``drop[v]`` is the
+    str.translate table that renormalizes once value v is gone."""
+    kids = []
+    for i, v in enumerate(key):
+        child = (key[:i] + key[i + 1 :]).translate(drop[ord(v)])
+        kids.append(below.setdefault(child, child))
+    return kids
 
 
 @lru_cache(maxsize=64)
@@ -180,21 +202,17 @@ def interval(
     sidx = ctx.index.get(sigma.values)
     if sidx is None:
         return IntervalTable(sigma, pi, {}, {})
-    above = ctx.leq[:, sidx]
-    row = ctx.row(sigma)
+    above = ctx.leq[:, sidx].tolist()
+    row = ctx.row(sigma).tolist()
     members: dict[int, tuple[Permutation, ...]] = {}
     mu: dict[Permutation, int] = {}
     for length, start, end in ctx.groups:
         if length < len(sigma.values):
             continue
-        picked = tuple(
-            ctx.members[i] for i in range(start, end) if above[i]
-        )
+        picked = [i for i in range(start, end) if above[i]]
         if picked:
-            members[length] = picked
-            for i in range(start, end):
-                if above[i]:
-                    mu[ctx.members[i]] = int(row[i])
+            members[length] = tuple(ctx.members[i] for i in picked)
+            mu.update((ctx.members[i], row[i]) for i in picked)
     return IntervalTable(sigma, pi, members, mu)
 
 

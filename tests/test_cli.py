@@ -377,6 +377,20 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["downset", "21", "--downset-cap", "-1"],
+        ["mobius", "1", "21", "--cache-bytes", "-5"],
+    ],
+    ids=["downset-cap", "cache-bytes"],
+)
+def test_negative_tuning_flags_are_a_usage_error(capsys, argv):
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, out) == (2, "")
+    assert "must be at least 0" in err
+
+
 def test_engine_errors_exit_one(capsys):
     rc, _, err = run_cli(
         capsys, ["mobius", "1", "2143", "--engine", "oscillation"]

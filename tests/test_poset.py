@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from permmobius import (
     EMPTY,
+    MobiusEngine,
     OscillationId,
     Permutation,
     TooLarge,
+    cli,
     complement,
     contains,
     downset,
@@ -24,9 +26,10 @@ from permmobius import (
 )
 
 from permmobius import poset
+from permmobius.engine import _query_route
 from permmobius.poset import DownsetContext
 
-from helpers import all_perm_tuples, contains_ref, mobius_ref
+from helpers import all_perm_tuples, contains_ref, downset_ref, mobius_ref
 
 small_perm = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -50,12 +53,31 @@ def test_downset_of_24153_has_fifteen_members_including_empty():
 
 
 def test_downset_members_are_exactly_the_contained_patterns():
-    pi = parse_permutation("3142")
-    ds = downset(pi)
-    for n in range(1, 5):
-        got = {p.values for p in ds.get(n, ())}
-        want = {v for v in all_perm_tuples(n) if contains_ref(v, pi.values)}
-        assert got == want
+    # Every pi of length <= 6, W_9 and two of length 10.
+    inputs = [v for n in range(7) for v in all_perm_tuples(n)] + [
+        (3, 1, 5, 2, 7, 4, 9, 6, 8),
+        (2, 4, 1, 6, 3, 8, 5, 10, 7, 9),
+        (4, 9, 2, 10, 6, 1, 8, 3, 7, 5),
+    ]
+    for pi_values in inputs:
+        n = len(pi_values)
+        ds = downset(Permutation(pi_values))
+        want = downset_ref(pi_values)
+        for k in range(n + 1):
+            got = {p.values for p in ds.get(k, ())}
+            assert got == {v for v in want if len(v) == k}, (pi_values, k)
+
+        ctx = DownsetContext(Permutation(pi_values))
+        keys = [(len(p.values), p.values) for p in ctx.members]
+        assert keys == sorted(set(keys)), pi_values
+        assert len(ctx.index) == len(ctx.members)
+        assert all(ctx.index[p.values] == i for i, p in enumerate(ctx.members))
+        bounds = [0] + [end for _, _, end in ctx.groups]
+        assert ctx.groups == [
+            (k, bounds[k], bounds[k + 1]) for k in range(n + 1)
+        ], pi_values
+        for k, start, end in ctx.groups:
+            assert {len(p.values) for p in ctx.members[start:end]} == {k}
 
 
 def test_downset_is_monotone_under_containment():
@@ -74,19 +96,40 @@ def test_downset_respects_the_cap():
 
 
 def test_downset_build_deletes_each_point_of_each_member_once(monkeypatch):
-    original = poset._delete_value_at
+    original = poset._delete_each_point
     calls = []
 
-    def counted(vals, i):
-        calls.append((vals, i))
-        return original(vals, i)
+    def counted(key, drop, below):
+        calls.append(key)
+        return original(key, drop, below)
 
-    monkeypatch.setattr(poset, "_delete_value_at", counted)
+    monkeypatch.setattr(poset, "_delete_each_point", counted)
     w9 = oscillation(OscillationId("W", 9))
     assert w9 == parse_permutation("315274968")
     ctx = DownsetContext(w9)
-    assert len(calls) == sum(len(p.values) for p in ctx.members) == 740
     assert len(set(calls)) == len(calls)
+    assert sorted(tuple(map(ord, key)) for key in calls) == sorted(
+        p.values for p in ctx.members if p.values
+    )
+    assert sum(map(len, calls)) == sum(len(p.values) for p in ctx.members) == 740
+
+
+def test_downset_past_255_points(capsys):
+    # id_298 + 21: no key width limit, 2 * 300 - 1 members.
+    pi = Permutation(tuple(range(1, 299)) + (300, 299))
+    sigma = Permutation(tuple(range(1, 299)))
+    ds = downset(pi, cap=300)
+    assert sum(len(g) for g in ds.values()) == 599
+    assert mobius_naive(sigma, pi, cap=300) == 1
+    assert _query_route(sigma, pi, "auto")[0] == "prop1"
+    assert MobiusEngine(downset_cap=300).mobius(sigma, pi) == 1
+    one_line = ",".join(map(str, pi.values))
+    for argv in (
+        ["interval", ",".join(map(str, sigma.values)), one_line],
+        ["downset", one_line],
+    ):
+        assert cli.main(argv + ["--downset-cap", "300"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4 + 599
 
 
 def test_order_matrix_is_containment_to_length_6():
