@@ -5,6 +5,13 @@ fast path.  On top of it sit the checks: the sign pattern (negative at even
 lengths, positive at odd lengths from 4 on), the 2^n bound, the primality
 biconditionals for M(2n)/M(2n+1), and the banding of normalized values by
 length mod 12.
+
+``jelinek_check`` and ``banding_report`` take mu by length, the list that
+``principal_mu_series`` returns (index n holds mu(1, W_n)), and run as numpy
+operations over the lengths of their window.  ``jelinek_window`` and
+``banding_window`` validate a window and give the lengths it reads, so a
+caller can fill exactly those.  ``SeriesRecord`` and ``principal_series``
+serve the per-length ``series`` output.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import RangeError
 from .oscillation_fast import principal_mu_series
 
@@ -20,9 +29,11 @@ __all__ = [
     "SeriesRecord",
     "principal_series",
     "Violation",
+    "jelinek_window",
     "jelinek_check",
     "BandReport",
     "BandingReport",
+    "banding_window",
     "banding_report",
     "loglog_export",
     "is_prime",
@@ -45,8 +56,15 @@ class SeriesRecord:
 
     @property
     def ratio(self) -> float:
-        m = self.n // 2
-        return abs(self.mu_W) / (m * m if self.n % 2 == 0 else m * m + m)
+        return _normalized_ratio(self.n, abs(self.mu_W))
+
+
+def _normalized_ratio(n, m_abs):
+    """|mu| / m^2 at even lengths n = 2m, |mu| / (m^2 + m) at odd lengths
+    n = 2m + 1; on ints, or elementwise on equal-length arrays of lengths and
+    |mu| values as ``_abs_window`` gives them."""
+    m = n // 2
+    return m_abs / (m * m + n % 2 * m)
 
 
 def principal_series(n_max: int) -> list[SeriesRecord]:
@@ -57,13 +75,28 @@ def principal_series(n_max: int) -> list[SeriesRecord]:
     return [SeriesRecord(n, mu[n]) for n in range(4, n_max + 1)]
 
 
-def _require_lengths(present: dict, lo: int, hi: int) -> None:
-    """Raise RangeError naming the first length of lo..hi not in present."""
-    for n in range(lo, hi + 1):
-        if n not in present:
-            raise RangeError(
-                f"series does not cover length {n} of the window {lo}..{hi}"
-            )
+# float64 holds every integer below 2^53, so below it numpy's int64 -> float64
+# conversion is exact and its division rounds as Python's int / int does.
+_FLOAT_EXACT = 1 << 53
+
+
+def _abs_window(mu: Sequence[int], lo: int, hi: int) -> np.ndarray:
+    """|mu(1, W_n)| for the lengths n = lo..hi of the series mu by length.
+
+    The array is int64 when every |mu| and hi^2 are below 2^53 (scan output
+    up to length 9.4e7), so sums, products and ratios of these values and the
+    lengths are exact; otherwise it holds Python ints.  RangeError names the
+    first length of the window that mu does not reach.
+    """
+    if len(mu) <= hi:
+        raise RangeError(
+            f"series does not cover length {max(lo, len(mu))} "
+            f"of the window {lo}..{hi}"
+        )
+    window = mu[lo : hi + 1]
+    if hi * hi < _FLOAT_EXACT and -_FLOAT_EXACT < min(window) and max(window) < _FLOAT_EXACT:
+        return np.abs(np.array(window, dtype=np.int64))
+    return np.array([abs(v) for v in window], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -82,9 +115,25 @@ class Violation:
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# (bound, k): the first k primes are a deterministic Miller-Rabin witness
+# set for every n below bound (each bound is the least strong pseudoprime
+# to those k bases).  Past the last bound all 12 primes to 37 are used,
+# which is deterministic below 3.18e23.
+_MR_BOUNDS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+)
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 64-bit-scale inputs."""
+    """Deterministic Miller-Rabin below 3.18e23, with the smallest witness
+    set for n's size."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -95,7 +144,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    k = next((k for bound, k in _MR_BOUNDS if n < bound), len(_MR_WITNESSES))
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -113,38 +163,54 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def jelinek_check(
-    n_lo: int, n_hi: int, series: Sequence[SeriesRecord]
-) -> list[Violation]:
-    """Check, for every half-length n in [n_lo, n_hi], the biconditionals
-    tying M(2n) to n^2 / n^2 - 1 and M(2n+1) to n^2 + n / n^2 + n - 1
-    against primality of n+1 and n mod 6 in {0, 4}.  The odd-length targets
-    are the odd-length instances of M = (len^2 - k)/4 for k in {1, 5}, the
-    small-k family the even-length targets belong to with k in {0, 4}."""
+def jelinek_window(n_lo: int, n_hi: int) -> tuple[int, int]:
+    """The lengths 2 n_lo .. 2 n_hi + 1 that the biconditionals over the
+    half-lengths n_lo..n_hi read; RangeError for an invalid window."""
     if n_lo <= 50:
         raise RangeError(f"the biconditionals are asserted for n > 50, got {n_lo}")
     if n_hi < n_lo:
         raise RangeError(f"empty range {n_lo}..{n_hi}")
-    m_abs = {rec.n: abs(rec.mu_W) for rec in series}
-    _require_lengths(m_abs, 2 * n_lo, 2 * n_hi + 1)
+    return 2 * n_lo, 2 * n_hi + 1
+
+
+_JELINEK_RULES = ("M(2n)=n^2", "M(2n)=n^2-1", "M(2n+1)=n^2+n", "M(2n+1)=n^2+n-1")
+
+
+def jelinek_check(n_lo: int, n_hi: int, mu: Sequence[int]) -> list[Violation]:
+    """Check, for every half-length n in [n_lo, n_hi], the biconditionals
+    tying M(2n) to n^2 / n^2 - 1 and M(2n+1) to n^2 + n / n^2 + n - 1
+    against primality of n+1 and n mod 6 in {0, 4}.  The odd-length targets
+    are the odd-length instances of M = (len^2 - k)/4 for k in {1, 5}, the
+    small-k family the even-length targets belong to with k in {0, 4}.
+
+    mu is the series by length (index n holds mu(1, W_n)); violations come
+    in order of n, and of the rules above within one n."""
+    m_abs = _abs_window(mu, *jelinek_window(n_lo, n_hi))
+    n = np.arange(n_lo, n_hi + 1, dtype=m_abs.dtype)
+    residue = n % 6
+    # Either condition needs n % 6 in {0, 4}: n + 1 is tested only there.
+    prime = np.zeros(len(n), dtype=bool)
+    for i in np.flatnonzero((residue == 0) | (residue == 4)).tolist():
+        prime[i] = is_prime(n_lo + i + 1)
+    cond0 = prime & (residue == 0)
+    cond4 = prime & (residue == 4)
+    even, odd = m_abs[0::2], m_abs[1::2]
+    sq = n * n
+    # One (observed, target, condition) triple per rule, in _JELINEK_RULES order.
+    arms = (
+        (even, sq, cond0),
+        (even, sq - 1, cond4),
+        (odd, sq + n, cond0),
+        (odd, sq + n - 1, cond4),
+    )
+    fails = np.column_stack(
+        [(observed == target) != cond for observed, target, cond in arms]
+    )
     violations: list[Violation] = []
-    for n in range(n_lo, n_hi + 1):
-        prime = is_prime(n + 1)
-        cond0 = prime and n % 6 == 0
-        cond4 = prime and n % 6 == 4
-        even_val = m_abs[2 * n]
-        odd_val = m_abs[2 * n + 1]
-        sq = n * n
-        for rule, observed, target, cond in (
-            ("M(2n)=n^2", even_val, sq, cond0),
-            ("M(2n)=n^2-1", even_val, sq - 1, cond4),
-            ("M(2n+1)=n^2+n", odd_val, sq + n, cond0),
-            ("M(2n+1)=n^2+n-1", odd_val, sq + n - 1, cond4),
-        ):
-            holds = observed == target
-            if holds != cond:
-                expected = target if cond else f"!= {target}"
-                violations.append(Violation(n, rule, expected, observed))
+    for i, k in zip(*np.nonzero(fails)):
+        observed, target, cond = (int(column[i]) for column in arms[k])
+        expected = target if cond else f"!= {target}"
+        violations.append(Violation(n_lo + int(i), _JELINEK_RULES[k], expected, observed))
     return violations
 
 
@@ -206,58 +272,51 @@ class BandingReport:
         return not self.violations
 
 
-def banding_report(
-    n_lo: int, n_hi: int, series: Sequence[SeriesRecord]
-) -> BandingReport:
+def banding_window(n_lo: int, n_hi: int) -> tuple[int, int]:
+    """The lengths n_lo..n_hi that banding reads; RangeError for an invalid
+    window."""
+    if n_lo < 4 or n_hi <= n_lo:
+        raise RangeError(f"invalid banding window {n_lo}..{n_hi}")
+    return n_lo, n_hi
+
+
+def banding_report(n_lo: int, n_hi: int, mu: Sequence[int]) -> BandingReport:
     """Observed normalized-ratio ranges per length residue mod 12, the
-    estimated band constants a..g, and ordering/disjointness checks.
+    estimated band constants a..g, and ordering/disjointness checks over the
+    lengths n_lo..n_hi of the series mu by length.
 
     Deviations of the estimated constants from the nominal values beyond
     0.05 are reported separately and are not counted as violations.
     """
-    if n_lo < 4 or n_hi <= n_lo:
-        raise RangeError(f"invalid banding window {n_lo}..{n_hi}")
-    ratios = {rec.n: rec.ratio for rec in series if n_lo <= rec.n <= n_hi}
-    _require_lengths(ratios, n_lo, n_hi)
-    per_residue: dict[int, list[float]] = {r: [] for r in range(12)}
-    excess: list[Violation] = []
-    for n in range(n_lo, n_hi + 1):
-        ratio = ratios[n]
-        per_residue[n % 12].append(ratio)
-        if ratio > 1.0:
-            excess.append(Violation(n, "ratio<=1", "<= 1", ratio))
+    m_abs = _abs_window(mu, *banding_window(n_lo, n_hi))
+    ratios = _normalized_ratio(np.arange(n_lo, n_hi + 1, dtype=m_abs.dtype), m_abs)
+    excess = [
+        Violation(n_lo + i, "ratio<=1", "<= 1", float(ratios[i]))
+        for i in np.flatnonzero(ratios > 1.0).tolist()
+    ]
 
-    bands = tuple(
-        BandReport(
-            residue,
-            BAND_LABELS[residue],
-            len(vals),
-            min(vals) if vals else math.nan,
-            max(vals) if vals else math.nan,
+    def residue_band(residue: int) -> BandReport:
+        vals = ratios[(residue - n_lo) % 12 :: 12]
+        if not len(vals):
+            return BandReport(residue, BAND_LABELS[residue], 0, math.nan, math.nan)
+        return BandReport(
+            residue, BAND_LABELS[residue], len(vals), float(vals.min()), float(vals.max())
         )
-        for residue, vals in sorted(per_residue.items())
-    )
 
-    def band_values(label: str) -> list[float]:
-        out: list[float] = []
-        for residue, vals in per_residue.items():
-            if BAND_LABELS[residue] == label:
-                out.extend(vals)
-        return out
+    bands = tuple(residue_band(residue) for residue in range(12))
 
-    ab = band_values("ab")
-    cd = band_values("cd")
-    ef = band_values("ef")
-    g1 = band_values("g1")
-    constants = {
-        "a": min(ab) if ab else math.nan,
-        "b": max(ab) if ab else math.nan,
-        "c": min(cd) if cd else math.nan,
-        "d": max(cd) if cd else math.nan,
-        "e": min(ef) if ef else math.nan,
-        "f": max(ef) if ef else math.nan,
-        "g": min(g1) if g1 else math.nan,
-    }
+    def band_range(label: str) -> tuple[float, float]:
+        """min and max over the residues of one band; nan when it is empty."""
+        spans = [band for band in bands if band.band == label and band.count]
+        if not spans:
+            return math.nan, math.nan
+        return min(band.ratio_min for band in spans), max(band.ratio_max for band in spans)
+
+    a, b = band_range("ab")
+    c, d = band_range("cd")
+    e, f = band_range("ef")
+    g, g1_max = band_range("g1")
+    constants = {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f, "g": g}
 
     ordered = ["a", "b", "c", "d", "e", "f", "g"]
     values = [constants[name] for name in ordered]
@@ -266,7 +325,7 @@ def banding_report(
         constants["b"] < constants["c"]
         and constants["d"] < constants["e"]
         and constants["f"] < constants["g"]
-        and (not g1 or max(g1) <= 1.0)
+        and (math.isnan(g1_max) or g1_max <= 1.0)
     )
 
     violations: list[Violation] = list(excess)

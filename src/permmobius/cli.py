@@ -14,7 +14,9 @@ from typing import Optional
 
 from .analysis import (
     banding_report,
+    banding_window,
     jelinek_check,
+    jelinek_window,
     loglog_export,
     principal_series,
     Violation,
@@ -26,8 +28,8 @@ from .engine import (
     _oscillation_route,
     _query_route,
 )
-from .errors import MobiusError, NotAPermutation
-from .oscillation_fast import trace_oscillation
+from .errors import MobiusError, NotAPermutation, RangeError
+from .oscillation_fast import principal_mu_series, trace_oscillation
 from .perms import Permutation, parse_permutation
 from .poset import DEFAULT_DOWNSET_CAP, downset, interval, mobius_naive_column
 
@@ -259,28 +261,31 @@ def _cmd_check(args: argparse.Namespace) -> tuple[list[str], int]:
     deviations: list[Violation] = []
     if args.suite in ("sign", "bound"):
         lo, hi = 4, 5000 if args.n_max is None else args.n_max
-        records = principal_series(hi)
+        if hi < 4:
+            raise RangeError(f"series needs n_max >= 4, got {hi}")
+        mu = principal_mu_series(hi)
         if args.suite == "bound":
             violations = [
-                Violation(rec.n, "bound-2^n", f"<= 2^{rec.n}", abs(rec.mu_W))
-                for rec in records
-                if abs(rec.mu_W) > (1 << rec.n)
+                Violation(n, "bound-2^n", f"<= 2^{n}", abs(mu[n]))
+                for n in range(lo, hi + 1)
+                if abs(mu[n]) > (1 << n)
             ]
         else:
-            violations = []
-            for rec in records:
-                if rec.n % 2 == 0 and rec.mu_W >= 0:
-                    violations.append(Violation(rec.n, "sign-even", "< 0", rec.mu_W))
-                elif rec.n % 2 == 1 and rec.mu_W <= 0:
-                    violations.append(Violation(rec.n, "sign-odd", "> 0", rec.mu_W))
+            # negative at even lengths, positive at odd ones
+            rules = (("sign-even", "< 0"), ("sign-odd", "> 0"))
+            violations = [
+                Violation(n, *rules[n % 2], mu[n])
+                for n in range(lo, hi + 1)
+                if (mu[n] <= 0 if n % 2 else mu[n] >= 0)
+            ]
     elif args.suite == "jelinek":
         lo, hi = args.range or (51, 10000)
-        records = principal_series(2 * hi + 1)
-        violations = jelinek_check(lo, hi, records)
+        mu = principal_mu_series(jelinek_window(lo, hi)[1])
+        violations = jelinek_check(lo, hi, mu)
     elif args.suite == "banding":
         lo, hi = args.range or (1000, 20000)
-        records = principal_series(hi)
-        report = banding_report(lo, hi, records)
+        mu = principal_mu_series(banding_window(lo, hi)[1])
+        report = banding_report(lo, hi, mu)
         violations = list(report.violations)
         deviations = list(report.deviations)
         constants = {k: report.constants[k] for k in sorted(report.constants)}

@@ -1,11 +1,12 @@
 """Shared fixtures: one engine per test and one long principal series per
-session (the expensive analysis inputs are reused across test modules)."""
+session (the expensive analysis inputs are reused across test modules).
+The series fixtures are mu by length: index n holds mu(1, W_n)."""
 
 from __future__ import annotations
 
 import pytest
 
-from permmobius import MobiusEngine, principal_series
+from permmobius import MobiusEngine, principal_mu_series
 
 
 @pytest.fixture()
@@ -14,11 +15,11 @@ def engine() -> MobiusEngine:
 
 
 @pytest.fixture(scope="session")
-def series_20001():
+def mu_20001():
     """Principal series long enough for every desk-scale analysis check."""
-    return principal_series(20001)
+    return principal_mu_series(20001)
 
 
 @pytest.fixture(scope="session")
-def series_1001():
-    return principal_series(1001)
+def mu_1001():
+    return principal_mu_series(1001)

@@ -281,8 +281,8 @@ def test_criterion_07_series_to_20000_with_clean_signs():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_08_half_length_biconditionals_to_10000(series_20001):
-    assert jelinek_check(51, 10000, series_20001) == []
+def test_criterion_08_half_length_biconditionals_to_10000(mu_20001):
+    assert jelinek_check(51, 10000, mu_20001) == []
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +290,8 @@ def test_criterion_08_half_length_biconditionals_to_10000(series_20001):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_09_banding_to_20000(series_20001):
-    report = banding_report(1000, 20000, series_20001)
+def test_criterion_09_banding_to_20000(mu_20001):
+    report = banding_report(1000, 20000, mu_20001)
     assert report.ordering_ok
     assert report.disjoint_ok
     assert report.violations == ()

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from permmobius import (
     OscillationId,
     RangeError,
     SeriesRecord,
+    Violation,
     banding_report,
     is_prime,
     jelinek_check,
@@ -20,7 +21,12 @@ from permmobius import (
     parse_permutation,
     principal_series,
 )
-from permmobius.analysis import BAND_LABELS, NOMINAL_CONSTANTS
+from permmobius.analysis import (
+    BAND_LABELS,
+    NOMINAL_CONSTANTS,
+    _abs_window,
+    _normalized_ratio,
+)
 
 P = parse_permutation
 
@@ -44,10 +50,10 @@ def test_series_matches_the_oracle_on_small_lengths():
         assert rec.mu_W == mobius_naive(one, oscillation(OscillationId("M", rec.n)))
 
 
-def test_series_parity_ratios_and_orientation_agreement(series_1001):
+def test_series_parity_ratios_and_orientation_agreement():
     # orientation agreement (W_n against M_n) is checked against the oracle
     # in test_series_matches_the_oracle_on_small_lengths
-    for rec in series_1001:
+    for rec in principal_series(1001):
         if rec.n % 2 == 0:
             m = rec.n // 2
             assert rec.ratio == pytest.approx(abs(rec.mu_W) / (m * m))
@@ -61,6 +67,23 @@ def test_series_rejects_too_small_windows():
         principal_series(3)
 
 
+def test_array_ratios_equal_the_record_ratios_exactly(mu_20001):
+    n = np.arange(4, 20002)
+    m_abs = _abs_window(mu_20001, 4, 20001)
+    assert m_abs.dtype == np.int64
+    ratios = _normalized_ratio(n, m_abs).tolist()
+    assert ratios == [SeriesRecord(k, mu_20001[k]).ratio for k in range(4, 20002)]
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63), 2**70, -(2**53)])
+def test_windows_past_float_exactness_hold_exact_ints(value):
+    mu = [0, 1, -1, 1, value, 7]
+    m_abs = _abs_window(mu, 4, 5)
+    assert m_abs.dtype == object
+    assert m_abs.tolist() == [abs(value), 7]
+    assert all(type(v) is int for v in m_abs.tolist())
+
+
 # ---------------------------------------------------------------- primality
 
 
@@ -71,6 +94,34 @@ def test_is_prime_on_known_values():
     composites = {0, 1, 4, 6, 9, 15, 91, 561, 1105, 7917, 2147483649}
     for n in composites:
         assert not is_prime(n), n
+
+
+def _sieve(lo, hi):
+    """Primality of lo..hi by striking multiples of every p <= sqrt(hi)."""
+    flags = [n >= 2 for n in range(lo, hi + 1)]
+    for p in range(2, math.isqrt(hi) + 1):
+        for q in range(max(p * p, -(-lo // p) * p), hi + 1, p):
+            flags[q - lo] = False
+    return flags
+
+
+def test_is_prime_matches_a_sieve_around_the_witness_set_boundaries():
+    for lo, hi in [
+        (0, 10**5),
+        (1_373_653 - 10**4, 1_373_653 + 10**4),
+        (25_326_001 - 10**4, 25_326_001 + 10**4),
+    ]:
+        assert [is_prime(n) for n in range(lo, hi + 1)] == _sieve(lo, hi)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383],
+)
+def test_is_prime_rejects_the_strong_pseudoprimes_at_each_boundary(n):
+    # each n is a strong pseudoprime to every base of the next smaller
+    # witness set, so only the set chosen from n's size rejects it
+    assert not is_prime(n)
 
 
 def test_is_prime_matches_a_sieve_up_to_a_thousand():
@@ -89,33 +140,29 @@ def test_is_prime_matches_a_sieve_up_to_a_thousand():
 # biconditionals
 
 
-def test_jelinek_has_no_violations_in_the_midrange(series_1001):
-    assert jelinek_check(51, 500, series_1001) == []
+def test_jelinek_has_no_violations_in_the_midrange(mu_1001):
+    assert jelinek_check(51, 500, mu_1001) == []
 
 
-def test_jelinek_window_validation(series_1001):
+def test_jelinek_window_validation(mu_1001):
     with pytest.raises(RangeError):
-        jelinek_check(50, 100, series_1001)
+        jelinek_check(50, 100, mu_1001)
     with pytest.raises(RangeError):
-        jelinek_check(200, 100, series_1001)
+        jelinek_check(200, 100, mu_1001)
     # coverage requires every length 2*n_lo..2*n_hi + 1, the ends included
     with pytest.raises(RangeError):
-        jelinek_check(51, 600, series_1001)
-    holed = [rec for rec in series_1001 if rec.n != 300]
+        jelinek_check(51, 600, mu_1001)
+    holed = mu_1001[:300]
     with pytest.raises(RangeError, match="length 300 "):
         jelinek_check(51, 500, holed)
 
 
-def test_jelinek_flags_a_doctored_series(series_1001):
+def test_jelinek_flags_a_doctored_series(mu_1001):
     # n = 96 activates the prime/0-mod-6 arm: 97 is prime and 96 % 6 == 0,
     # so the even value at length 192 must equal 96^2 exactly
     assert is_prime(97) and 96 % 6 == 0
-    doctored = [
-        dataclasses.replace(rec, mu_W=-(96 * 96 - 7))
-        if rec.n == 192
-        else rec
-        for rec in series_1001
-    ]
+    doctored = list(mu_1001)
+    doctored[192] = -(96 * 96 - 7)
     violations = jelinek_check(51, 500, doctored)
     assert len(violations) == 1
     v = violations[0]
@@ -127,11 +174,57 @@ def test_jelinek_flags_a_doctored_series(series_1001):
     )
 
 
+@pytest.mark.parametrize("value", [2**63, -(2**63), 2**70])
+def test_jelinek_reports_values_past_int64_exactly(mu_1001, value):
+    doctored = list(mu_1001)
+    doctored[192] = value
+    violations = jelinek_check(51, 500, doctored)
+    assert violations == [Violation(96, "M(2n)=n^2", 9216, abs(value))]
+    assert type(violations[0].actual) is int
+
+
+def _jelinek_by_loop(n_lo, n_hi, mu):
+    """The per-half-length loop that the array check replaced."""
+    violations = []
+    for n in range(n_lo, n_hi + 1):
+        prime = is_prime(n + 1)
+        cond0 = prime and n % 6 == 0
+        cond4 = prime and n % 6 == 4
+        even_val, odd_val, sq = abs(mu[2 * n]), abs(mu[2 * n + 1]), n * n
+        for rule, observed, target, cond in (
+            ("M(2n)=n^2", even_val, sq, cond0),
+            ("M(2n)=n^2-1", even_val, sq - 1, cond4),
+            ("M(2n+1)=n^2+n", odd_val, sq + n, cond0),
+            ("M(2n+1)=n^2+n-1", odd_val, sq + n - 1, cond4),
+        ):
+            if (observed == target) != cond:
+                expected = target if cond else f"!= {target}"
+                violations.append(Violation(n, rule, expected, observed))
+    return violations
+
+
+@pytest.mark.parametrize("big", [None, 2**70])
+def test_jelinek_matches_the_per_length_loop_on_doctored_series(mu_1001, big):
+    # every fourth half-length gets the target of one of the four arms, so
+    # each arm both holds where it should not and fails where it should
+    doctored = list(mu_1001)
+    for n in range(51, 501, 4):
+        arm = n // 4 % 4
+        target = (n * n, n * n - 1, n * n + n, n * n + n - 1)[arm]
+        doctored[2 * n + arm // 2] = target
+    if big is not None:
+        doctored[401] = big
+    violations = jelinek_check(51, 500, doctored)
+    assert len(violations) > 50
+    assert violations == _jelinek_by_loop(51, 500, doctored)
+    assert violations[0].n == 51 and violations[-1].n >= 490
+
+
 # ----------------------------------------------------------------- banding
 
 
-def test_banding_report_in_the_calibration_window(series_20001):
-    rep = banding_report(1000, 4000, series_20001)
+def test_banding_report_in_the_calibration_window(mu_20001):
+    rep = banding_report(1000, 4000, mu_20001)
     assert rep.ordering_ok and rep.disjoint_ok and rep.ok
     assert rep.violations == ()
     assert rep.deviations == ()
@@ -155,15 +248,49 @@ def test_banding_report_in_the_calibration_window(series_20001):
         assert abs(rep.constants[name] - NOMINAL_CONSTANTS[name]) <= 0.05
 
 
-def test_banding_window_validation(series_1001):
+def test_banding_window_validation(mu_1001):
     with pytest.raises(RangeError):
-        banding_report(3, 100, series_1001)
+        banding_report(3, 100, mu_1001)
     with pytest.raises(RangeError):
-        banding_report(100, 100, series_1001)
+        banding_report(100, 100, mu_1001)
     with pytest.raises(RangeError):
-        banding_report(5000, 6000, series_1001)
+        banding_report(5000, 6000, mu_1001)
     with pytest.raises(RangeError, match="length 1002 "):
-        banding_report(900, 2000, series_1001)
+        banding_report(900, 2000, mu_1001)
+
+
+def _assert_bands_match_the_records(rep, mu):
+    """Counts, minima, maxima and excess ratios against SeriesRecord.ratio."""
+    ratios = {n: SeriesRecord(n, mu[n]).ratio for n in range(rep.n_lo, rep.n_hi + 1)}
+    for band in rep.bands:
+        vals = [r for n, r in ratios.items() if n % 12 == band.residue]
+        assert band.count == len(vals)
+        if vals:
+            assert (band.ratio_min, band.ratio_max) == (min(vals), max(vals))
+        else:
+            assert math.isnan(band.ratio_min) and math.isnan(band.ratio_max)
+    excess = [Violation(n, "ratio<=1", "<= 1", r) for n, r in ratios.items() if r > 1.0]
+    assert list(rep.violations[: len(excess)]) == excess
+
+
+@pytest.mark.parametrize("window", [(4, 5), (4, 15), (10, 30), (1823, 20001)])
+def test_banding_matches_the_per_length_ratios(mu_20001, window):
+    _assert_bands_match_the_records(banding_report(*window, mu_20001), mu_20001)
+
+
+# 2**70 + 135_795 over 475^2 rounds differently when |mu| is made a float
+# before the division
+@pytest.mark.parametrize("value", [2**63, -(2**63), 2**70, 2**70 + 135_795])
+def test_banding_reports_values_past_int64_exactly(mu_1001, value):
+    doctored = list(mu_1001)
+    doctored[950] = value
+    rep = banding_report(900, 1000, doctored)
+    ratio = abs(value) / (475 * 475)
+    assert rep.violations[0] == Violation(950, "ratio<=1", "<= 1", ratio)
+    assert type(rep.violations[0].actual) is float
+    assert rep.bands[950 % 12].ratio_max == ratio
+    assert rep.constants["d"] == ratio and not rep.ordering_ok
+    _assert_bands_match_the_records(rep, doctored)
 
 
 # ------------------------------------------------------------------- plots

@@ -268,6 +268,14 @@ def test_series_loglog_rows_and_skip_counter(capsys):
             ["check", "--suite", "jelinek", "--range", "51..2000"],
             "b406fbdede63bb02f7e7f3f042ad941421159a9145a26d1f8f598b2e90fd1ba9",
         ),
+        (
+            ["check", "--suite", "jelinek", "--range", "107..19914"],
+            "b9944b3468539479fe74a69c746c2c7f867d0ae2539bf488a1f0f7ed50c5dc7f",
+        ),
+        (
+            ["check", "--suite", "banding", "--range", "1823..39829"],
+            "7636be5fc298f4b9df3ad9f43383559c4de9d19cacd1f1cec8be3a36a5858006",
+        ),
     ],
 )
 def test_series_and_check_outputs_are_pinned(capsys, argv, digest):
@@ -305,6 +313,15 @@ def test_check_sign_and_bound_reject_n_max_zero(capsys, suite):
     rc, out, err = run_cli(capsys, ["check", "--suite", suite, "--n-max", "0"])
     assert (rc, out) == (1, "")
     assert "error" in err
+
+
+def test_check_validates_the_window_before_filling_the_series(capsys):
+    rc, out, err = run_cli(capsys, ["check", "--suite", "jelinek", "--range", "51..1"])
+    assert (rc, out) == (1, "")
+    assert err == "permmobius: error: empty range 51..1\n"
+    rc, out, err = run_cli(capsys, ["check", "--suite", "banding", "--range", "51..1"])
+    assert (rc, out) == (1, "")
+    assert err == "permmobius: error: invalid banding window 51..1\n"
 
 
 def test_check_jelinek_range(capsys):
