@@ -31,7 +31,7 @@ from .engine import (
 from .errors import MobiusError, NotAPermutation, RangeError
 from .oscillation_fast import principal_mu_series, trace_oscillation
 from .perms import Permutation, parse_permutation
-from .poset import DEFAULT_DOWNSET_CAP, downset, interval, mobius_naive_column
+from .poset import downset, interval, mobius_naive_column
 
 __all__ = ["main", "build_parser"]
 
@@ -65,6 +65,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+# The flags each check suite reads; setting another is a usage error.
+_SUITE_FLAGS = {
+    "sign": ("n_max",), "bound": ("n_max",), "jelinek": ("range",),
+    "banding": ("range",), "crosscheck": ("max_len", "cache_bytes"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="permmobius",
@@ -74,15 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_flags(p: argparse.ArgumentParser, cap=False, cache=False) -> None:
-        """The tuning flags a subcommand reads, and --out on every one."""
-        if cap:
-            p.add_argument(
-                "--downset-cap",
-                type=_nonnegative_int,
-                default=DEFAULT_DOWNSET_CAP,
-                help="maximum upper-bound length for exhaustive enumeration",
-            )
+    def add_flags(p: argparse.ArgumentParser, cache=False) -> None:
+        """The tuning flag a subcommand reads, and --out on every one."""
         if cache:
             p.add_argument(
                 "--cache-bytes",
@@ -101,18 +101,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_mobius.add_argument(
         "--trace", action="store_true", help="print the evaluation tables first"
     )
-    add_flags(p_mobius, cap=True, cache=True)
+    add_flags(p_mobius, cache=True)
 
     p_interval = sub.add_parser("interval", help="CSV dump of a closed interval")
     p_interval.add_argument("sigma")
     p_interval.add_argument("pi")
     p_interval.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_flags(p_interval, cap=True)
+    add_flags(p_interval)
 
     p_downset = sub.add_parser("downset", help="all patterns of a permutation")
     p_downset.add_argument("pi")
     p_downset.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_flags(p_downset, cap=True)
+    add_flags(p_downset)
 
     p_series = sub.add_parser("series", help="principal Möbius series")
     p_series.add_argument("--n-max", type=int, required=True)
@@ -123,15 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_flags(p_series)
 
     p_check = sub.add_parser("check", help="verification suites")
-    p_check.add_argument(
-        "--suite",
-        choices=("sign", "bound", "jelinek", "banding", "crosscheck"),
-        required=True,
-    )
+    p_check.add_argument("--suite", choices=_SUITE_FLAGS, required=True)
     p_check.add_argument("--n-max", type=int, default=None)
     p_check.add_argument("--range", type=_parse_range, default=None)
-    p_check.add_argument("--max-len", type=int, default=6)
-    add_flags(p_check, cap=True, cache=True)
+    p_check.add_argument("--max-len", type=int, default=None)
+    add_flags(p_check, cache=True)
 
     return parser
 
@@ -145,9 +141,7 @@ def _violation_dict(v: Violation) -> dict:
 
 
 def _make_engine(args: argparse.Namespace) -> MobiusEngine:
-    return MobiusEngine(
-        cache=MobiusCache(args.cache_bytes), downset_cap=args.downset_cap
-    )
+    return MobiusEngine(cache=MobiusCache(args.cache_bytes))
 
 
 def _cmd_mobius(args: argparse.Namespace) -> tuple[list[str], int]:
@@ -174,7 +168,7 @@ def _cmd_mobius(args: argparse.Namespace) -> tuple[list[str], int]:
 def _cmd_interval(args: argparse.Namespace) -> tuple[list[str], int]:
     sigma = parse_permutation(args.sigma)
     pi = parse_permutation(args.pi)
-    table = interval(sigma, pi, cap=args.downset_cap)
+    table = interval(sigma, pi)
     if args.format == "json":
         payload = {
             "lower": str(table.lower),
@@ -192,7 +186,7 @@ def _cmd_interval(args: argparse.Namespace) -> tuple[list[str], int]:
 
 def _cmd_downset(args: argparse.Namespace) -> tuple[list[str], int]:
     pi = parse_permutation(args.pi)
-    groups = downset(pi, cap=args.downset_cap)
+    groups = downset(pi)
     rows = [
         (length, str(member))
         for length in sorted(groups)
@@ -233,15 +227,15 @@ def _cmd_series(args: argparse.Namespace) -> tuple[list[str], int]:
     return lines, EXIT_OK
 
 
-def _crosscheck(args: argparse.Namespace) -> list[Violation]:
+def _crosscheck(args: argparse.Namespace, max_len: int) -> list[Violation]:
     from itertools import permutations as iter_permutations
 
     engine = _make_engine(args)
     violations: list[Violation] = []
-    for n in range(1, args.max_len + 1):
+    for n in range(1, max_len + 1):
         for vals in iter_permutations(range(1, n + 1)):
             pi = Permutation._wrap(vals)
-            column = mobius_naive_column(pi, cap=args.downset_cap)
+            column = mobius_naive_column(pi)
             for sigma, expected in column.items():
                 actual = engine.mobius(sigma, pi)
                 if actual != expected:
@@ -254,6 +248,17 @@ def _crosscheck(args: argparse.Namespace) -> list[Violation]:
                         )
                     )
     return violations
+
+
+def _check_suite_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Exit with a usage error on a flag that the suite does not read, and
+    on a crosscheck of no length."""
+    for flag in ("n_max", "range", "max_len", "cache_bytes"):
+        if getattr(args, flag) is not None and flag not in _SUITE_FLAGS[args.suite]:
+            name = flag.replace("_", "-")
+            parser.error(f"--{name} is not read by --suite {args.suite}")
+    if args.max_len is not None and args.max_len < 1:
+        parser.error(f"--max-len must be at least 1, got {args.max_len}")
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[list[str], int]:
@@ -290,8 +295,8 @@ def _cmd_check(args: argparse.Namespace) -> tuple[list[str], int]:
         deviations = list(report.deviations)
         constants = {k: report.constants[k] for k in sorted(report.constants)}
     else:  # crosscheck
-        lo, hi = 1, args.max_len
-        violations = _crosscheck(args)
+        lo, hi = 1, args.max_len or 6
+        violations = _crosscheck(args, hi)
 
     payload = {
         "range": [lo, hi],
@@ -317,6 +322,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "check":
+            _check_suite_flags(parser, args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

@@ -41,7 +41,7 @@ from .perms import (
     is_sum_indecomposable,
     sum_decompose,
 )
-from .poset import DEFAULT_DOWNSET_CAP, DownsetContext, _capped_ctx, mobius_naive
+from .poset import DownsetContext, _downset_ctx, mobius_naive
 
 __all__ = [
     "MobiusCache",
@@ -362,13 +362,8 @@ class MobiusEngine:
     """Dispatcher over the naive oracle, the component recursions, the
     contributing-set recursion, and the oscillation fast path."""
 
-    def __init__(
-        self,
-        cache: Optional[MobiusCache] = None,
-        downset_cap: int = DEFAULT_DOWNSET_CAP,
-    ):
+    def __init__(self, cache: Optional[MobiusCache] = None):
         self.cache = cache if cache is not None else MobiusCache()
-        self.downset_cap = downset_cap
         self.stats = {"naive_fallbacks": 0, "theorem_calls": 0}
         # Contributing-set tables per upper bound, and the rows they share.
         self._candidates: OrderedDict[tuple[int, ...], _Table] = OrderedDict()
@@ -379,7 +374,7 @@ class MobiusEngine:
 
     def _candidate_list(self, pi: Permutation) -> list[int]:
         """Build pi's table and return the candidates of pi's own row."""
-        table = _Table(_capped_ctx(pi, self.downset_cap), self._rows)
+        table = _Table(_downset_ctx(pi), self._rows)
         self._candidates[pi.values] = table
         if len(self._candidates) > self._candidates_max:
             self._candidates.popitem(last=False)
@@ -553,7 +548,7 @@ class MobiusEngine:
             return self.mobius_theorem(sigma, pi)
         if route == "fallback":
             self.stats["naive_fallbacks"] += 1
-        return mobius_naive(sigma, pi, cap=self.downset_cap)
+        return mobius_naive(sigma, pi)
 
 
 def _direct_value(sigma: Permutation, pi: Permutation) -> Optional[int]:

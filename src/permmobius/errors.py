@@ -28,7 +28,7 @@ class InvalidShape(MobiusError, ValueError):
 
 
 class TooLarge(MobiusError, ValueError):
-    """Input exceeds a configured size cap (the downset cap)."""
+    """A downset has more members than poset.MAX_DOWNSET_MEMBERS."""
 
 
 class PreconditionViolation(MobiusError, ValueError):

@@ -12,7 +12,8 @@ bound are cheap.
 The enumeration keys each member as a str with one code point per value:
 deleting a point is one slice and one C-level str.translate that
 renormalizes the values above it.  A str holds any code point, so the
-keys put no limit on the length of pi.
+keys put no limit on the length of pi; the one size bound is on members
+(``MAX_DOWNSET_MEMBERS``), checked while the build enumerates.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import Overflow, TooLarge
 from .perms import Permutation
 
 __all__ = [
-    "DEFAULT_DOWNSET_CAP",
+    "MAX_DOWNSET_MEMBERS",
     "downset",
     "IntervalTable",
     "interval",
@@ -34,7 +35,9 @@ __all__ = [
     "mobius_naive_column",
 ]
 
-DEFAULT_DOWNSET_CAP = 12
+# Every pi of length <= 12 has at most 2^12 patterns (the empty one and pi
+# included), so each is within the bound; the largest leq matrix is 16 MiB.
+MAX_DOWNSET_MEMBERS = 1 << 12
 
 _INT64_GUARD = 1 << 62
 
@@ -54,6 +57,9 @@ class DownsetContext:
         # Each member's point-deletion children are computed once; a child
         # is kept as the key its level (a dict) already holds.
         n = len(pi.values)
+        # One member per length: refused before the n^2 translate tables.
+        if n + 1 > MAX_DOWNSET_MEMBERS:
+            raise _too_large(n)
         # drop[v] maps x to x - (x > v); slices of one tuple share its ints.
         base = tuple(range(n + 1))
         drop = [base[: v + 1] + base[v:n] for v in range(n + 1)]
@@ -61,10 +67,15 @@ class DownsetContext:
         by_len: list[dict[str, str]] = [{} for _ in range(n + 1)]
         by_len[n][top] = top
         children: dict[str, list[str]] = {"": []}
+        found = 1  # the members longer than the level being filled
         for length in range(n, 0, -1):
             below = by_len[length - 1]
             for key in by_len[length]:
                 children[key] = _delete_each_point(key, drop, below)
+                # each of the length - 1 shorter levels holds a member
+                if found + len(below) + length - 1 > MAX_DOWNSET_MEMBERS:
+                    raise _too_large(n)
+            found += len(below)
 
         # At equal length, code-point order is value order.
         keys: list[str] = []
@@ -131,6 +142,10 @@ class DownsetContext:
         return mu
 
 
+def _too_large(n: int) -> TooLarge:
+    return TooLarge(f"upper bound of length {n} has over {MAX_DOWNSET_MEMBERS} patterns")
+
+
 def _delete_each_point(
     key: str, drop: list[tuple[int, ...]], below: dict[str, str]
 ) -> list[str]:
@@ -149,22 +164,10 @@ def _downset_ctx(pi: Permutation) -> DownsetContext:
     return DownsetContext(pi)
 
 
-def _capped_ctx(pi: Permutation, cap: int) -> DownsetContext:
-    """The cached downset context of pi; the one check of the downset cap
-    on every path that enumerates a downset."""
-    if len(pi.values) > cap:
-        raise TooLarge(
-            f"upper bound of length {len(pi.values)} exceeds the downset cap {cap}"
-        )
-    return _downset_ctx(pi)
-
-
-def downset(
-    pi: Permutation, cap: int = DEFAULT_DOWNSET_CAP
-) -> dict[int, tuple[Permutation, ...]]:
+def downset(pi: Permutation) -> dict[int, tuple[Permutation, ...]]:
     """All permutations contained in pi (including the empty one and pi),
     grouped by length."""
-    ctx = _capped_ctx(pi, cap)
+    ctx = _downset_ctx(pi)
     return {
         length: ctx.members[start:end]
         for length, start, end in ctx.groups
@@ -193,12 +196,10 @@ class IntervalTable:
         ]
 
 
-def interval(
-    sigma: Permutation, pi: Permutation, cap: int = DEFAULT_DOWNSET_CAP
-) -> IntervalTable:
+def interval(sigma: Permutation, pi: Permutation) -> IntervalTable:
     """The closed interval [sigma, pi]; empty table when sigma is not
     contained in pi."""
-    ctx = _capped_ctx(pi, cap)
+    ctx = _downset_ctx(pi)
     sidx = ctx.index.get(sigma.values)
     if sidx is None:
         return IntervalTable(sigma, pi, {}, {})
@@ -216,19 +217,15 @@ def interval(
     return IntervalTable(sigma, pi, members, mu)
 
 
-def mobius_naive(
-    sigma: Permutation, pi: Permutation, cap: int = DEFAULT_DOWNSET_CAP
-) -> int:
+def mobius_naive(sigma: Permutation, pi: Permutation) -> int:
     """Exact Möbius value of the interval [sigma, pi] by the defining sum."""
-    ctx = _capped_ctx(pi, cap)
+    ctx = _downset_ctx(pi)
     sidx = ctx.index.get(sigma.values)
     return 0 if sidx is None else int(ctx.column()[sidx])
 
 
-def mobius_naive_column(
-    pi: Permutation, cap: int = DEFAULT_DOWNSET_CAP
-) -> dict[Permutation, int]:
+def mobius_naive_column(pi: Permutation) -> dict[Permutation, int]:
     """mu(sigma, pi) for every sigma contained in pi, in one solve."""
-    ctx = _capped_ctx(pi, cap)
+    ctx = _downset_ctx(pi)
     col = ctx.column()
     return {p: int(col[i]) for i, p in enumerate(ctx.members)}

@@ -135,7 +135,7 @@ def test_mobius_general_trace_takes_its_values_from_one_solve(
 def test_mobius_accepts_tuning_flags(capsys):
     rc, out, _ = run_cli(
         capsys,
-        ["mobius", "21", "3142", "--cache-bytes", "4096", "--downset-cap", "8"],
+        ["mobius", "21", "3142", "--cache-bytes", "4096"],
     )
     assert (rc, out) == (0, "3\n")
 
@@ -397,15 +397,55 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["downset", "21", "--downset-cap", "-1"],
         ["mobius", "1", "21", "--cache-bytes", "-5"],
     ],
-    ids=["downset-cap", "cache-bytes"],
+    ids=["cache-bytes"],
 )
 def test_negative_tuning_flags_are_a_usage_error(capsys, argv):
     rc, out, err = run_cli(capsys, argv)
     assert (rc, out) == (2, "")
     assert "must be at least 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mobius", "1", "21"],
+        ["interval", "1", "21"],
+        ["downset", "21"],
+        ["check", "--suite", "crosscheck", "--max-len", "2"],
+    ],
+    ids=["mobius", "interval", "downset", "check"],
+)
+def test_the_downset_cap_flag_is_a_usage_error(capsys, argv):
+    for value in ("12", "-1"):
+        rc, out, err = run_cli(capsys, argv + ["--downset-cap", value])
+        assert (rc, out) == (2, "")
+        assert f"unrecognized arguments: --downset-cap {value}" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["crosscheck", "--max-len", "-2"], "--max-len must be at least 1, got -2"),
+        (["crosscheck", "--max-len", "0"], "--max-len must be at least 1, got 0"),
+        (["sign", "--n-max", "10", "--range", "1..5"], "--range is not read by --suite sign"),
+        (["bound", "--range", "4..5"], "--range is not read by --suite bound"),
+        (["crosscheck", "--range", "1..2"], "--range is not read by --suite crosscheck"),
+        (["jelinek", "--n-max", "100"], "--n-max is not read by --suite jelinek"),
+        (["banding", "--n-max", "100"], "--n-max is not read by --suite banding"),
+        (["crosscheck", "--n-max", "3"], "--n-max is not read by --suite crosscheck"),
+        (["sign", "--max-len", "3"], "--max-len is not read by --suite sign"),
+        (["bound", "--max-len", "3"], "--max-len is not read by --suite bound"),
+        (["jelinek", "--max-len", "3"], "--max-len is not read by --suite jelinek"),
+        (["banding", "--max-len", "3"], "--max-len is not read by --suite banding"),
+        (["sign", "--cache-bytes", "0"], "--cache-bytes is not read by --suite sign"),
+    ],
+)
+def test_check_rejects_a_flag_that_checks_nothing(capsys, flags, message):
+    rc, out, err = run_cli(capsys, ["check", "--suite", *flags])
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
 
 
 def test_engine_errors_exit_one(capsys):
@@ -417,9 +457,11 @@ def test_engine_errors_exit_one(capsys):
 
 
 def test_downset_cap_errors_exit_one(capsys):
-    rc, _, err = run_cli(capsys, ["downset", "315264", "--downset-cap", "5"])
-    assert rc == 1
-    assert "error" in err
+    # W_16 has 5357 patterns.
+    w16 = "3,1,5,2,7,4,9,6,11,8,13,10,15,12,16,14"
+    rc, out, err = run_cli(capsys, ["downset", w16])
+    assert (rc, out) == (1, "")
+    assert err == "permmobius: error: upper bound of length 16 has over 4096 patterns\n"
 
 
 # ------------------------------------------------------------- subprocess

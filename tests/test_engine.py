@@ -34,6 +34,7 @@ from permmobius import (
     oscillation,
     parse_permutation,
     principal_mu_series,
+    skew_sum,
     weight_general,
 )
 from permmobius import engine as engine_module
@@ -383,30 +384,62 @@ def test_oscillation_upper_bounds_past_255_points_are_answered():
     assert mobius_oscillation(ONE, w300) == principal_mu_series(300)[300]
 
 
-def test_every_route_that_enumerates_refuses_past_the_downset_cap():
+def test_every_route_that_enumerates_refuses_past_the_downset_cap(monkeypatch):
+    # pi has 154 patterns; auto takes the theorem route on it.
     sigma, pi = TWO_ONE, P("314729586")
-    capped = MobiusEngine(downset_cap=8)
+    poset._downset_ctx.cache_clear()
+    monkeypatch.setattr(poset, "MAX_DOWNSET_MEMBERS", 153)
+    capped = MobiusEngine()
     refusals = []
     for query in (
         lambda: capped.mobius(sigma, pi, engine="auto"),
         lambda: capped.mobius(sigma, pi, engine="general"),
         lambda: capped.mobius(sigma, pi, engine="naive"),
         lambda: capped.contributing_set(sigma, pi),
+        lambda: interval(sigma, pi),
+        lambda: downset(pi),
+        lambda: mobius_naive_column(pi),
     ):
         with pytest.raises(TooLarge) as info:
             query()
         refusals.append(str(info.value))
-    assert refusals == ["upper bound of length 9 exceeds the downset cap 8"] * 4
-    wide = MobiusEngine(downset_cap=9)
+    assert refusals == ["upper bound of length 9 has over 153 patterns"] * 7
+    monkeypatch.setattr(poset, "MAX_DOWNSET_MEMBERS", 154)
+    wide = MobiusEngine()
     assert [
         wide.mobius(sigma, pi, engine=name) for name in ("auto", "general", "naive")
     ] == [-11, -11, -11]
 
 
-def test_the_theorem_route_refuses_past_the_default_cap():
+def test_the_theorem_route_answers_past_length_12():
     pi = P("3 1 4 7 2 9 5 11 6 13 8 10 12")
-    with pytest.raises(TooLarge, match="length 13 exceeds the downset cap 12"):
-        MobiusEngine().mobius(TWO_ONE, pi)
+    assert [
+        MobiusEngine().mobius(TWO_ONE, pi, engine=name)
+        for name in ("auto", "general", "naive")
+    ] == [-21, -21, -21]
+
+
+def _w(n: int) -> Permutation:
+    return oscillation(OscillationId("W", n))
+
+
+# W_13 has 1081 patterns and W_7 skew-summed with W_8 has 3249.
+@pytest.mark.parametrize(
+    "sigma, pi, expected",
+    [
+        (P("12"), _w(13), -161),
+        (P("132"), _w(13), 125),
+        (P("213"), _w(13), 125),
+        (P("2143"), _w(13), -95),
+        (ONE, skew_sum(_w(7), _w(8)), 0),
+    ],
+    ids=["12-W13", "132-W13", "213-W13", "2143-W13", "1-W7skewW8"],
+)
+def test_upper_bounds_within_the_member_bound_are_answered(sigma, pi, expected):
+    engine = MobiusEngine()
+    assert [
+        engine.mobius(sigma, pi, engine=name) for name in ("naive", "auto", "general")
+    ] == [expected] * 3
 
 
 def test_long_oscillation_in_oscillation_reaches_the_fast_path():

@@ -90,9 +90,45 @@ def test_downset_is_monotone_under_containment():
 
 
 def test_downset_respects_the_cap():
+    # W_16 has 5357 patterns; id_13 has 14.
     with pytest.raises(TooLarge):
-        downset(Permutation(tuple(range(1, 14))))
-    assert downset(Permutation(tuple(range(1, 14))), cap=14)
+        downset(oscillation(OscillationId("W", 16)))
+    assert sum(map(len, downset(Permutation(tuple(range(1, 14)))).values())) == 14
+
+
+def test_the_member_bound_is_exact_and_checked_while_enumerating(monkeypatch):
+    # W_9 has 128 patterns: itself, 9 of length 8, ..., and the empty one.
+    w9 = oscillation(OscillationId("W", 9))
+    original, calls = poset._delete_each_point, []
+
+    def counted(key, drop, below):
+        calls.append(key)
+        return original(key, drop, below)
+
+    monkeypatch.setattr(poset, "_delete_each_point", counted)
+    monkeypatch.setattr(poset, "MAX_DOWNSET_MEMBERS", 128)
+    assert len(DownsetContext(w9).members) == 128
+    assert len(calls) == 127
+    # W_9's own point deletions give 1 + 9 members, and the 8 shorter
+    # lengths hold one more each: 18.  The first length-8 member's
+    # deletions pass 18, long before its level is done.
+    for bound, most_calls in ((127, 126), (18, 2)):
+        calls.clear()
+        monkeypatch.setattr(poset, "MAX_DOWNSET_MEMBERS", bound)
+        with pytest.raises(
+            TooLarge, match=f"^upper bound of length 9 has over {bound} patterns$"
+        ):
+            DownsetContext(w9)
+        assert 1 <= len(calls) <= most_calls
+
+
+def test_one_member_per_length_refuses_before_any_point_deletion(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poset, "_delete_each_point", lambda *args: calls.append(args))
+    for n in (poset.MAX_DOWNSET_MEMBERS, 3 * poset.MAX_DOWNSET_MEMBERS):
+        with pytest.raises(TooLarge, match=f"length {n} "):
+            DownsetContext(Permutation(tuple(range(n, 0, -1))))
+    assert calls == []
 
 
 def test_downset_build_deletes_each_point_of_each_member_once(monkeypatch):
@@ -118,17 +154,17 @@ def test_downset_past_255_points(capsys):
     # id_298 + 21: no key width limit, 2 * 300 - 1 members.
     pi = Permutation(tuple(range(1, 299)) + (300, 299))
     sigma = Permutation(tuple(range(1, 299)))
-    ds = downset(pi, cap=300)
+    ds = downset(pi)
     assert sum(len(g) for g in ds.values()) == 599
-    assert mobius_naive(sigma, pi, cap=300) == 1
+    assert mobius_naive(sigma, pi) == 1
     assert _query_route(sigma, pi, "auto")[0] == "prop1"
-    assert MobiusEngine(downset_cap=300).mobius(sigma, pi) == 1
+    assert MobiusEngine().mobius(sigma, pi) == 1
     one_line = ",".join(map(str, pi.values))
     for argv in (
         ["interval", ",".join(map(str, sigma.values)), one_line],
         ["downset", one_line],
     ):
-        assert cli.main(argv + ["--downset-cap", "300"]) == 0
+        assert cli.main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 4 + 599
 
 
@@ -253,11 +289,7 @@ def test_oracle_symmetry_under_simultaneous_symmetries():
 
 
 def test_oracle_rejects_upper_bounds_beyond_cap():
+    one = parse_permutation("1")
     with pytest.raises(TooLarge):
-        mobius_naive(parse_permutation("1"), Permutation(tuple(range(1, 14))))
-    assert (
-        mobius_naive(
-            parse_permutation("1"), Permutation(tuple(range(1, 14))), cap=14
-        )
-        == 0
-    )
+        mobius_naive(one, oscillation(OscillationId("W", 16)))
+    assert mobius_naive(one, Permutation(tuple(range(1, 14)))) == 0
