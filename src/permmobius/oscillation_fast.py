@@ -23,12 +23,17 @@ The scan has two forms with equal values.  An extension by fewer than
 shared table of even-divisor lists one length at a time.  A longer one
 takes the block form, which fills the lengths [L, 2L - 1) at once: the
 terms of proper divisors q < v read only lengths below L and come from
-int64 numpy slice sums, and the terms q = v, a fixed linear recurrence
-(for sigma = 1, x[n] + 2x[n-1] - 2x[n-3] - x[n-4] = -far[n]), from a
-Python-int loop.  Up to 301 lengths the two forms are within 1.5 ms of each
-other; from 512 on the block form is 2-6 times faster (2-core Xeon), and it
-builds no divisor table.  Values reaching ``_INT64_GUARD`` raise Overflow on either
-form, before they are stored.
+int64 numpy slice sums, and the terms q = v are a fixed linear recurrence
+in the shift z back by one length, solved by numpy prefix sums.  The sum
+S = W + M and difference D = W - M of the two kinds satisfy
+(1 - z)(1 + z)^3 S = -(far_W + far_M) and (1 - z)^2 (1 + z)^2 D =
+-(far_W - far_M), each factor undone by one prefix sum; for sigma = 1,
+x[n] + 2x[n-1] - 2x[n-3] - x[n-4] = -far[n].  A block stays on int64
+only where its solution is provably exact, and is solved again on Python
+ints otherwise.  Up to 301 lengths the two forms are within 1.5 ms of
+each other; from 512 on the block form is 2.5-10 times faster (2-core Xeon),
+and it builds no divisor table.  Values reaching ``_INT64_GUARD`` raise
+Overflow on either form, before they are stored.
 """
 
 from __future__ import annotations
@@ -405,12 +410,12 @@ def _fill_memo(sigma: Permutation, cls: PiClass, up_to: int) -> None:
 # An extension of at least this many lengths takes the block form of the
 # divisor scan, a shorter one the per-length form.  Measured on a 2-core
 # Xeon, per-length against block form, from the first missing length:
-# sigma = 1 to 128 / 301 / 512 / 4,096 takes 0.5 / 1.3 / 3.3 / 39 ms
-# against 0.5 / 0.8 / 1.1 / 6.6 ms, and sigma = M_8 to the same lengths
-# 1.5 / 2.7 / 6.3 / 82 ms against 1.2 / 1.9 / 1.9 / 18 ms.  The forms are
+# sigma = 1 to 128 / 301 / 512 / 4,096 takes 0.5 / 1.4 / 2.5 / 22 ms
+# against 0.6 / 0.8 / 0.9 / 2.2 ms, and sigma = M_8 to the same lengths
+# 0.9 / 2.5 / 4.9 / 46 ms against 0.8 / 1.2 / 1.7 / 6.4 ms.  The forms are
 # within 1.5 ms of each other up to 301 lengths, so one-length memo fills
 # and a cold mu(1, W_301) keep the per-length form; from 512 on the block
-# form is 2-6 times faster.
+# form is 2.5-10 times faster.
 _BLOCK_MIN = 512
 
 _OVERFLOW = "oscillation Möbius value exceeds the 64-bit guard"
@@ -442,26 +447,32 @@ def _divisor_scan(
     q = 3 and is resolved by (t - 4) mod 3.
 
     The scan has two forms with equal values.  An extension of fewer than
-    _BLOCK_MIN lengths (512, where the block form has become the faster by
-    a measured 2-3 times) takes the per-length form (_scan_lengths), which
+    _BLOCK_MIN lengths takes the per-length form (_scan_lengths), which
     walks the even-divisor lists of t and t - 2 for one length at a time.
     A longer one takes the block form (_scan_block) past a per-length head
-    of the first few lengths, where not every near term applies yet: it
+    of the first few lengths, where not every near term is summed yet: it
     splits the terms into far ones (q < v, so q <= v / 2, reading only
     lengths below the block) and near ones (q = v), so that a block of
     lengths [L, 2L - 1) takes all its far terms by numpy slice sums and
-    only the near terms, a fixed linear recurrence (_near_terms), by a
-    Python-int loop.
+    solves the near terms, a fixed linear recurrence (_NEAR_OWN,
+    _NEAR_CROSS), by numpy prefix sums.
     """
     chains = _chains(values, cls)
     with_21 = _class_min_k(SINGLE21, cls) <= 1
     if up_to + 1 - len(values[kinds[0]]) < _BLOCK_MIN:
         _scan_lengths(values, kinds, up_to, chains, with_21)
         return
-    near, settled = _near_terms(kinds, chains)
+    # Every near term is summed from this length on: the chain term of copy
+    # cost v = t - shift (shift 0 or 2, t = n + n % 2 - b) once v >= q_min.
+    settled = max(
+        q_min + _B_OFFSET.get((shape_kind, _upper_class(kind, parity)), 0) + 2 - parity
+        for kind in kinds
+        for parity in (0, 1)
+        for shape_kind, _, _, q_min in chains
+    )
     _scan_lengths(values, kinds, min(settled, up_to + 1) - 1, chains, with_21)
     while len(values[kinds[0]]) <= up_to:
-        _scan_block(values, kinds, up_to, chains, with_21, near)
+        _scan_block(values, kinds, up_to, chains, with_21)
 
 
 def _chains(values: dict[str, list[int]], cls: Optional[PiClass]) -> list:
@@ -506,39 +517,56 @@ def _scan_lengths(values, kinds, up_to, chains, with_21) -> None:
             values[kind].append(-total)
 
 
-def _near_terms(kinds, chains):
-    """The near terms of the block form and the least length from which
-    they all apply.
+# The near terms (q = v) of the block form, as the coefficients of
+# z^0 .. z^4, where z is a shift back by one length.  From the settled
+# length on, for every lower bound and both parities,
+#     _NEAR_OWN(z) W + _NEAR_CROSS(z) M = -far_W,
+# and the same with W and M swapped.  Their sum S = W + M and difference
+# D = W - M each take one product of (1 - z) and (1 + z) factors:
+#     (1 - z)(1 + z)^3 S = -(far_W + far_M)     (_NEAR_SUM, as counts)
+#     (1 - z)^2 (1 + z)^2 D = -(far_W - far_M)  (_NEAR_DIFF)
+# For sigma = 1, W = M = x and x[n] + 2 x[n-1] - 2 x[n-3] - x[n-4] = -far[n].
+_NEAR_OWN = (1, 1, -1, -1, 0)
+_NEAR_CROSS = (0, 1, 1, -1, -1)
+_NEAR_SUM = (1, 3)
+_NEAR_DIFF = (2, 2)
 
-    At length n of parity p, the chain member of copy cost v in {t, t - 2}
-    (t = n + p - b) has length v + offset = n - lag.  For each parity and
-    kind this gives (kind, [(coefficient, member list, lag), ...]), the
-    terms that read one list at one lag merged and zero ones dropped.  For
-    sigma = 1, whose two kinds share one list, both parities give
-    x[n] + 2 x[n-1] - 2 x[n-3] - x[n-4] = -far[n].
-    """
-    near: tuple[list, list] = ([], [])
-    settled = 0
-    for parity, rows in enumerate(near):
-        for kind in kinds:
-            pi_kind = _upper_class(kind, parity)
-            coefs: dict[tuple[int, int], list] = {}
-            for shape_kind, member, offset, q_min in chains:
-                b = _B_OFFSET.get((shape_kind, pi_kind), 0)
-                for shift, sign in ((0, 1), (2, -1)):
-                    if shift == 0 and shape_kind == _OWN_CHAIN[pi_kind]:
-                        continue
-                    lag = b + shift - parity - offset
-                    coefs.setdefault((id(member), lag), [0, member, lag])[0] += sign
-                    # the term is summed once t - shift >= q_min
-                    settled = max(settled, q_min + b + shift - parity)
-            rows.append((kind, [tuple(term) for term in coefs.values() if term[0]]))
-    return near, settled
+# The block form keeps its near solve on int64 only while every value of
+# the block and the four before it stays below this magnitude; see _exact.
+_INT64_EXACT = 1 << 58
 
 
-def _scan_block(values, kinds, up_to, chains, with_21, near) -> None:
+def _scan_block(values, kinds, up_to, chains, with_21) -> None:
     """The block form of _divisor_scan: the lengths [lo, hi), where lo is
     the first missing length and hi = min(2 lo - 1, up_to + 1).
+
+    The far terms come from _far_terms.  The near terms are then solved
+    for the whole block by prefix sums (_solve_near): on int64 when the
+    solution is provably exact (_exact), otherwise again on Python ints.
+    Each kind's values are stored up to the first that reaches the guard,
+    which raises Overflow.  For sigma = 1 that is what the per-length form
+    stores; _fill_memo drops its two lists on Overflow.
+    """
+    lo = len(values[kinds[0]])
+    hi = min(2 * lo - 1, up_to + 1)
+    fars = _far_terms(values, kinds, lo, hi, chains, with_21)
+    heads = [x for kind in kinds for x in values[kind][lo - 4 : lo]]
+    on_int64 = fars[kinds[0]].dtype == np.int64 and max(map(abs, heads)) < _INT64_EXACT
+    solved = _solve_near(values, kinds, lo, fars) if on_int64 else None
+    if solved is None or not _exact(solved, kinds, fars):
+        fars = {kind: far.astype(object) for kind, far in fars.items()}
+        solved = _solve_near(values, kinds, lo, fars)
+    for kind in kinds:
+        block = solved[kind][4:]
+        stored = _first_past_guard(block)
+        values[kind].extend(block[:stored].tolist())
+        if stored < len(block):
+            raise Overflow(_OVERFLOW)
+
+
+def _far_terms(values, kinds, lo, hi, chains, with_21) -> dict[str, np.ndarray]:
+    """far[kind][n - lo] for the lengths lo <= n < hi: every term but the
+    near ones, as one array per kind.
 
     A far term has v <= t <= n + 3 and q <= v / 2, so its member's length
     q + offset <= (n + 1) / 2 lies below lo: all of them come from the
@@ -546,11 +574,8 @@ def _scan_block(values, kinds, up_to, chains, with_21, near) -> None:
     bounded before they are taken: one far value adds at most
     2 tau(v) <= 4 (isqrt(v) + 1) values per chain and the bare 21, each no
     larger than the largest stored one, and when that bound reaches the
-    guard the sums are taken over Python ints instead.  The near terms then
-    give each value from the ones just before it.
+    guard the sums are taken over Python ints instead.
     """
-    lo = len(values[kinds[0]])
-    hi = min(2 * lo - 1, up_to + 1)
     v_lo, v_hi = lo - 4, hi + 2  # every t - 2 and t of the block (|b| <= 2)
     root = isqrt(v_hi)
     lists = {id(member): member for _, member, _, _ in chains}
@@ -583,17 +608,78 @@ def _scan_block(values, kinds, up_to, chains, with_21, near) -> None:
                 b = _B_OFFSET.get((SINGLE21, pi_kind), 0)
                 s = (np.arange(first, hi, 2) + parity - b - 4) % 3
                 part += np.array([w, -w, 0], dtype=dtype)[s]
-        fars[kind] = far.tolist()
-    rows = [[(values[kind], fars[kind], terms) for kind, terms in near[p]] for p in (0, 1)]
-    for n in range(lo, hi):
-        i = n - lo
-        for dest, far, terms in rows[n % 2]:
-            total = far[i]
-            for coef, member, lag in terms:
-                total += coef * member[n - lag]
-            if abs(total) >= _INT64_GUARD:
-                raise Overflow(_OVERFLOW)
-            dest.append(-total)
+        fars[kind] = far
+    return fars
+
+
+def _solve_near(values, kinds, lo, fars) -> dict[str, np.ndarray]:
+    """W and M on the lengths [lo - 4, hi) from the near system, given the
+    far terms of [lo, hi) and the stored values below lo, in the far
+    terms' dtype.  With one kind (sigma = 1) W and M are one list, x."""
+    if len(kinds) == 1:
+        x = _undo(-fars[kinds[0]], values[kinds[0]][lo - 4 : lo], *_NEAR_SUM)
+        return {"W": x, "M": x}
+    w, m = values["W"][lo - 4 : lo], values["M"][lo - 4 : lo]
+    s = _undo(-(fars["W"] + fars["M"]), [a + b for a, b in zip(w, m)], *_NEAR_SUM)
+    d = _undo(fars["M"] - fars["W"], [a - b for a, b in zip(w, m)], *_NEAR_DIFF)
+    s += d
+    s //= 2  # W = (S + D) / 2, an exact division
+    np.subtract(s, d, out=d)  # M = W - D
+    return {"W": s, "M": d}
+
+
+def _undo(rhs, head, minus, plus) -> np.ndarray:
+    """x[lo - 4 : hi] with (1 - z)^minus (1 + z)^plus x = rhs on [lo, hi),
+    given head = x[lo - 4 : lo] (minus + plus = 4).
+
+    The four head values with zeros before them give the left side on
+    [lo - 4, lo); from those and rhs each factor is undone, from zero
+    history, by one prefix sum in place: a plain one for (1 - z), an
+    alternating-sign one for (1 + z).
+    """
+    start = list(head)
+    for sign in (1,) * minus + (-1,) * plus:
+        start = start[:1] + [a - sign * b for a, b in zip(start[1:], start)]
+    x = np.empty(len(rhs) + 4, dtype=rhs.dtype)
+    x[:4] = start
+    x[4:] = rhs
+    x[1::2] *= -1
+    for _ in range(plus):
+        np.cumsum(x, out=x)
+    x[1::2] *= -1
+    for _ in range(minus):
+        np.cumsum(x, out=x)
+    return x
+
+
+def _exact(solved, kinds, fars) -> bool:
+    """Whether an int64 near solve is exact.
+
+    The prefix sums are exact modulo 2^64 and the halving of S + D modulo
+    2^63.  When every value is below _INT64_EXACT = 2^58 in magnitude, each
+    residual of the near system is eight such values plus a far sum below
+    the guard 2^62, below 2^63, so a zero int64 residual is zero exactly;
+    the system with the stored head has one solution, so it is this one.
+    """
+    for kind in kinds:
+        x = solved[kind]
+        if not (x.max() < _INT64_EXACT and x.min() > -_INT64_EXACT):
+            return False
+    for kind in kinds:
+        other = "M" if kind == "W" else "W"
+        residual = np.convolve(solved[kind], _NEAR_OWN, "valid")
+        residual += np.convolve(solved[other], _NEAR_CROSS, "valid")
+        residual += fars[kind]
+        if residual.any():
+            return False
+    return True
+
+
+def _first_past_guard(x: np.ndarray) -> int:
+    """The index of the first value of x at or past the guard, or len(x)."""
+    if x.max() < _INT64_GUARD and x.min() > -_INT64_GUARD:
+        return len(x)
+    return int(np.flatnonzero(np.abs(x) >= _INT64_GUARD)[0])
 
 
 def _divisor_sums(member, offset, q_min, v_lo, v_hi, root):

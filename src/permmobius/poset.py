@@ -57,8 +57,12 @@ class DownsetContext:
         # Each member's point-deletion children are computed once; a child
         # is kept as the key its level (a dict) already holds.
         n = len(pi.values)
-        # One member per length: refused before the n^2 translate tables.
-        if n + 1 > MAX_DOWNSET_MEMBERS:
+        # pi, its n - b distinct one-point deletions (b: the adjacent
+        # positions holding adjacent values) and one member per shorter
+        # length: refused on that count before the n^2 translate tables.
+        v = pi.values
+        bonds = sum(abs(a - c) == 1 for a, c in zip(v, v[1:]))
+        if 2 * n - bonds > MAX_DOWNSET_MEMBERS:
             raise _too_large(n)
         # drop[v] maps x to x - (x > v); slices of one tuple share its ints.
         base = tuple(range(n + 1))

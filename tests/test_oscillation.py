@@ -423,21 +423,145 @@ def test_divisor_scan_matches_the_per_block_count_recursion(monkeypatch, block_m
             got = {(id.kind, id.n): mobius_oscillation(sigma, id) for id in order}
             want = {key: expected[key] for key in got}
             assert got == want, sigma
-    # sigma = 1: the block form equals the per-length form to n = 20,000
-    monkeypatch.setattr(oscillation_fast, "_principal", [0, 1, -1, 1])
-    by_blocks = principal_mu_series(20000)
-    monkeypatch.setattr(oscillation_fast, "_principal", [0, 1, -1, 1])
-    monkeypatch.setattr(oscillation_fast, "_BLOCK_MIN", 10**9)
-    assert principal_mu_series(20000) == by_blocks
-    # its near terms: x[n] + 2 x[n-1] - 2 x[n-3] - x[n-4] = -far[n]
-    mu = [0, 1, -1, 1]
-    near, _ = oscillation_fast._near_terms(
-        "W", oscillation_fast._chains({"W": mu, "M": mu}, None)
+
+
+def _by_lengths(monkeypatch, compute):
+    """compute() on a cleared memo and series, with every extension on the
+    per-length form, then the same at the default _BLOCK_MIN."""
+    results = []
+    for block_min in (10**9, oscillation_fast._BLOCK_MIN):
+        with monkeypatch.context() as m:
+            m.setattr(oscillation_fast, "_BLOCK_MIN", block_min)
+            m.setattr(oscillation_fast, "_principal", [0, 1, -1, 1])
+            clear_oscillation_memo()
+            results.append(compute())
+    clear_oscillation_memo()
+    return results
+
+
+def _row(sigma, top):
+    """mu(sigma, W_n) and mu(sigma, M_n) for every n up to top."""
+    mobius_oscillation(sigma, OscillationId("W", top))
+    return [
+        mobius_oscillation(sigma, OscillationId(kind, n))
+        for n in range(len(sigma) + 2, top + 1)
+        for kind in "WM"
+    ]
+
+
+def test_the_block_form_equals_the_per_length_form(monkeypatch):
+    # sigma = 1 to 30,000 and every oscillation class W_2..W_9, M_3..M_9
+    # to 3000, cold: a per-length head, then blocks doubling in length
+    # (thirteen for sigma = 1)
+    per_length, by_blocks = _by_lengths(monkeypatch, lambda: principal_mu_series(30000))
+    assert per_length == by_blocks
+    sigmas = [
+        oscillation(OscillationId(kind, length))
+        for length in range(2, 10)
+        for kind in "WM"
+        if kind == "W" or length > 2
+    ]
+    assert len(sigmas) == 15
+    per_length, by_blocks = _by_lengths(
+        monkeypatch, lambda: [_row(sigma, 3000) for sigma in sigmas]
     )
-    for rows in near:
-        [(kind, terms)] = rows
-        assert kind == "W" and all(member is mu for _, member, _ in terms)
-        assert sorted((lag, coef) for coef, _, lag in terms) == [(1, 2), (3, -2), (4, -1)]
+    assert per_length == by_blocks
+
+
+@pytest.mark.parametrize("exact", [0, 10**6], ids=["no-block", "some-blocks"])
+def test_the_python_int_near_solve_gives_the_same_values(monkeypatch, exact):
+    want_series = principal_mu_series(20000)
+    w5 = oscillation(OscillationId("W", 5))
+    clear_oscillation_memo()
+    want_row = _row(w5, 3000)
+    solves = []
+    original = oscillation_fast._solve_near
+
+    def recorded(values, kinds, lo, fars):
+        solves.append((kinds, lo, fars[kinds[0]].dtype.kind))
+        return original(values, kinds, lo, fars)
+
+    # At 0 no block passes the int64 check.  At 10^6 the early blocks do;
+    # the one whose values first pass 10^6 is solved on int64, fails the
+    # check and is solved again on Python ints, and so is every later one.
+    monkeypatch.setattr(oscillation_fast, "_solve_near", recorded)
+    monkeypatch.setattr(oscillation_fast, "_INT64_EXACT", exact)
+    monkeypatch.setattr(oscillation_fast, "_principal", [0, 1, -1, 1])
+    clear_oscillation_memo()
+    assert principal_mu_series(20000) == want_series
+    assert _row(w5, 3000) == want_row
+    on_objects = {(kinds, lo) for kinds, lo, dtype in solves if dtype == "O"}
+    assert solves[-1][2] == "O"
+    if exact:
+        retried = {(kinds, lo) for kinds, lo, dtype in solves if dtype == "i"} & on_objects
+        assert retried
+    else:
+        assert len(on_objects) == len(solves)
+    clear_oscillation_memo()
+
+
+def _expand(minus, plus):
+    """The coefficients of (1 - z)^minus (1 + z)^plus, lowest power first."""
+    poly = [1]
+    for sign in (-1,) * minus + (1,) * plus:
+        poly = [a + sign * b for a, b in zip(poly + [0], [0] + poly)]
+    return tuple(poly)
+
+
+def _near_terms(values, kinds, cls, parity):
+    """The near terms of the block form at a length of the given parity,
+    derived from the chain table: for each kind, {(member kind, lag):
+    coefficient} with the kind's own value (lag 0) included.
+
+    At length n of parity p the chain member of copy cost v in {t, t - 2}
+    (t = n + p - b) has length v + offset = n - lag; the upper bound's own
+    member (v = t in its own chain) is not summed.
+    """
+    names = {id(values["M"]): "M", id(values["W"]): "W"}  # one list for sigma = 1: W
+    system = {}
+    for kind in kinds:
+        pi_kind = oscillation_fast._upper_class(kind, parity)
+        coefs = {(kind, 0): 1}
+        for shape_kind, member, offset, _ in oscillation_fast._chains(values, cls):
+            b = oscillation_fast._B_OFFSET.get((shape_kind, pi_kind), 0)
+            for shift, sign in ((0, 1), (2, -1)):
+                if shift == 0 and shape_kind == oscillation_fast._OWN_CHAIN[pi_kind]:
+                    continue
+                key = (names[id(member)], b + shift - parity - offset)
+                coefs[key] = coefs.get(key, 0) + sign
+        system[kind] = {key: coef for key, coef in coefs.items() if coef}
+    return system
+
+
+def test_the_near_system_follows_from_the_chain_table():
+    def terms(poly, kind):
+        return {(kind, lag): coef for lag, coef in enumerate(poly) if coef}
+
+    own, cross = oscillation_fast._NEAR_OWN, oscillation_fast._NEAR_CROSS
+    # W + M and W - M each take one product of (1 - z) and (1 + z) factors
+    pairs = list(zip(own, cross))
+    assert _expand(*oscillation_fast._NEAR_SUM) == tuple(a + b for a, b in pairs)
+    assert _expand(*oscillation_fast._NEAR_DIFF) == tuple(a - b for a, b in pairs)
+    classes = [
+        pi_class_of(OscillationId(kind, length))
+        for length in range(2, 10)
+        for kind in "WM"
+        if kind == "W" or length > 2
+    ]
+    assert {cls.kind for cls in classes} == {"W_even", "W_odd", "M_even", "M_odd"}
+    values = {"W": [], "M": []}
+    for cls in classes:
+        for parity in (0, 1):
+            system = _near_terms(values, "WM", cls, parity)
+            assert system == {
+                "W": {**terms(own, "W"), **terms(cross, "M")},
+                "M": {**terms(own, "M"), **terms(cross, "W")},
+            }
+    # sigma = 1: one list, x[n] + 2 x[n-1] - 2 x[n-3] - x[n-4] = -far[n]
+    mu = []
+    for parity in (0, 1):
+        system = _near_terms({"W": mu, "M": mu}, "W", None, parity)
+        assert system == {"W": terms((1, 2, 0, -2, -1), "W")}
 
 
 def test_the_block_form_builds_no_divisor_table_past_its_head(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +130,42 @@ def test_one_member_per_length_refuses_before_any_point_deletion(monkeypatch):
     for n in (poset.MAX_DOWNSET_MEMBERS, 3 * poset.MAX_DOWNSET_MEMBERS):
         with pytest.raises(TooLarge, match=f"length {n} "):
             DownsetContext(Permutation(tuple(range(n, 0, -1))))
+    assert calls == []
+
+
+def _bonds(values):
+    """The adjacent positions of values that hold adjacent values."""
+    return sum(abs(a - c) == 1 for a, c in zip(values, values[1:]))
+
+
+def test_a_permutation_has_one_point_deletion_per_position_not_in_a_bond(monkeypatch):
+    # n - b distinct one-point deletions, so at least 2n - b patterns
+    for n in range(8):
+        for values in all_perm_tuples(n):
+            deletions = {
+                tuple(x - (x > v) for x in values[:i] + values[i + 1 :])
+                for i, v in enumerate(values)
+            }
+            assert len(deletions) == n - _bonds(values), values
+            if n <= 6:
+                members = len(DownsetContext(Permutation(values)).members)
+                assert members >= 2 * n - _bonds(values), values
+    # the count is exact for id_12 (13 patterns, 11 bonds), which builds at
+    # a bound of 13
+    monkeypatch.setattr(poset, "MAX_DOWNSET_MEMBERS", 13)
+    assert len(DownsetContext(Permutation(tuple(range(1, 13)))).members) == 13
+
+
+def test_the_member_count_bound_refuses_before_any_point_deletion(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poset, "_delete_each_point", lambda *args: calls.append(args))
+    values = list(range(1, 2501))
+    random.Random(5).shuffle(values)
+    bound = poset.MAX_DOWNSET_MEMBERS
+    assert 2 * 2500 - _bonds(values) > bound
+    message = f"^upper bound of length 2500 has over {bound} patterns$"
+    with pytest.raises(TooLarge, match=message):
+        DownsetContext(Permutation(tuple(values)))
     assert calls == []
 
 
