@@ -9,17 +9,22 @@ in pi.  It enumerates the full downset of pi once and solves for a whole
 column mu(. , pi) in one pass, so repeated queries against the same upper
 bound are cheap.
 
-The enumeration keys each member as a str with one code point per value:
-deleting a point is one slice and one C-level str.translate that
-renormalizes the values above it.  A str holds any code point, so the
-keys put no limit on the length of pi; the one size bound is on members
-(``MAX_DOWNSET_MEMBERS``), checked while the build enumerates.
+The enumeration keys each member as a str with one code point per value
+and builds the downset one length at a time: a level's keys are joined
+into one string, and deleting a value x from all of them at once is one
+C-level str.translate (drop x, renormalize the values above it) and one
+split.  A str holds any code point, so the keys put no limit on the length
+of pi; the one size bound is on members (``MAX_DOWNSET_MEMBERS``), checked
+while the build enumerates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, or_
+from typing import Sequence
 
 import numpy as np
 
@@ -47,69 +52,75 @@ class DownsetContext:
 
     members are ascending by (length, values); ``leq[j, i]`` is 1 exactly
     when member i is contained in member j.  The build enumerates members
-    as code-point strings, one str.translate per point deletion, for an
-    upper bound of any length; each key is decoded to a Permutation once.
+    as code-point strings, top-down one length at a time with one
+    str.translate per value deleted from the whole level, for an upper bound
+    of any length; containment is then closed bottom-up as bitmasks, and
+    each key is decoded to a Permutation once.
     """
 
     __slots__ = ("pi", "members", "index", "leq", "groups", "_column")
 
     def __init__(self, pi: Permutation):
-        # Each member's point-deletion children are computed once; a child
-        # is kept as the key its level (a dict) already holds.
         n = len(pi.values)
+        top = "".join(map(chr, pi.values))
         # pi, its n - b distinct one-point deletions (b: the adjacent
         # positions holding adjacent values) and one member per shorter
         # length: refused on that count before the n^2 translate tables.
-        v = pi.values
-        bonds = sum(abs(a - c) == 1 for a, c in zip(v, v[1:]))
-        if 2 * n - bonds > MAX_DOWNSET_MEMBERS:
+        if 2 * n - _bonds(pi.values) > MAX_DOWNSET_MEMBERS:
             raise _too_large(n)
-        # drop[v] maps x to x - (x > v); slices of one tuple share its ints.
+        # drop[x] deletes x and maps y > x to y - 1; slices of one tuple
+        # share its ints.  pairs[x - 1] is x - 1 and x side by side, both ways.
         base = tuple(range(n + 1))
-        drop = [base[: v + 1] + base[v:n] for v in range(n + 1)]
-        top = "".join(map(chr, pi.values))
-        by_len: list[dict[str, str]] = [{} for _ in range(n + 1)]
-        by_len[n][top] = top
-        children: dict[str, list[str]] = {"": []}
-        found = 1  # the members longer than the level being filled
+        drop = [base[:x] + (None,) + base[x:n] for x in range(n + 1)]
+        chars = "".join(map(chr, base))
+        pairs = list(zip(map(add, chars, chars[1:]), map(add, chars[1:], chars)))
+        # Top-down: each level's sorted keys with its child lists, from
+        # length n down to 1.
+        levels: list[tuple[list[str], list[list[str]]]] = []
+        level = [top]
+        found = 1  # the members at the level being expanded and above
         for length in range(n, 0, -1):
-            below = by_len[length - 1]
-            for key in by_len[length]:
-                children[key] = _delete_each_point(key, drop, below)
-                # each of the length - 1 shorter levels holds a member
-                if found + len(below) + length - 1 > MAX_DOWNSET_MEMBERS:
-                    raise _too_large(n)
-            found += len(below)
+            # each of the length - 1 shorter levels holds a member
+            expanded = _expand_level(
+                level, drop, pairs, MAX_DOWNSET_MEMBERS - found - (length - 1)
+            )
+            if expanded is None:
+                raise _too_large(n)
+            parts, below = expanded
+            levels.append((level, parts))
+            # At equal length, code-point order is value order.
+            level = sorted(below)
+            found += len(level)
 
-        # At equal length, code-point order is value order.
-        keys: list[str] = []
-        groups: list[tuple[int, int, int]] = []
-        for length in range(n + 1):
-            start = len(keys)
-            keys.extend(sorted(by_len[length]))
-            groups.append((length, start, len(keys)))
-        members = tuple(Permutation._wrap(tuple(map(ord, key))) for key in keys)
+        # Bottom-up: reach[key] is the set of members contained in the
+        # member key, as a bitmask over member positions; its insertion
+        # order is the member order.
+        reach = {"": 1}
+        get = reach.__getitem__
+        groups: list[tuple[int, int, int]] = [(0, 0, 1)]
+        while levels:
+            level, parts = levels.pop()
+            start = len(reach)
+            # one lazy map per child list, nested at most n < 2^12 deep
+            cur = map((1).__lshift__, range(start, start + len(level)))
+            for part in parts:
+                cur = map(or_, cur, map(get, part))
+            reach.update(zip(level, cur))
+            groups.append((len(level[0]), start, len(reach)))
+        values = tuple(map(tuple, map(map, repeat(ord), reach)))
+        members = tuple(map(Permutation._wrap, values))
 
-        m = len(keys)
-        key_index = {key: i for i, key in enumerate(keys)}
-        # reach[j]: the members contained in member j, as a bitmask
-        reach = [0] * m
-        for j, key in enumerate(keys):
-            mask = 1 << j
-            for c in children[key]:
-                mask |= reach[key_index[c]]
-            reach[j] = mask
-        del by_len, children, keys, key_index  # freed before the m x m matrix
-
+        m = len(members)
         nbytes = (m + 7) // 8
         packed = np.frombuffer(
-            b"".join(r.to_bytes(nbytes, "little") for r in reach), dtype=np.uint8
+            b"".join(r.to_bytes(nbytes, "little") for r in reach.values()),
+            dtype=np.uint8,
         ).reshape(m, nbytes)
         leq = np.unpackbits(packed, axis=1, bitorder="little")[:, :m].astype(np.int8)
 
         self.pi = pi
         self.members = members
-        self.index = {p.values: i for i, p in enumerate(members)}
+        self.index = dict(zip(values, range(m)))
         self.leq = leq
         self.groups = groups
         self._column = None
@@ -150,17 +161,48 @@ def _too_large(n: int) -> TooLarge:
     return TooLarge(f"upper bound of length {n} has over {MAX_DOWNSET_MEMBERS} patterns")
 
 
-def _delete_each_point(
-    key: str, drop: list[tuple[int, ...]], below: dict[str, str]
-) -> list[str]:
-    """The children of one member key, one per deleted point, each as the
-    key ``below`` (the next level down) holds.  ``drop[v]`` is the
-    str.translate table that renormalizes once value v is gone."""
-    kids = []
-    for i, v in enumerate(key):
-        child = (key[:i] + key[i + 1 :]).translate(drop[ord(v)])
-        kids.append(below.setdefault(child, child))
-    return kids
+def _bonds(values: Sequence[int]) -> int:
+    """The adjacent positions that hold adjacent values."""
+    return sum(a - c in (1, -1) for a, c in zip(values, values[1:]))
+
+
+def _expand_level(
+    keys: list[str],
+    drop: list[tuple[int | None, ...]],
+    pairs: list[tuple[str, str]],
+    room: int,
+) -> tuple[list[list[str]], set[str]] | None:
+    """The one-point deletions of a level's keys (all of length L), or
+    None as soon as they are known to number over ``room``.
+
+    Returns, for each value x deleted, the child of every key in the order
+    of ``keys``, and the set of all children.  Every key holds x once, so
+    one str.translate (``drop[x]``) and one split over the keys joined by
+    "\\0" make all of them; no value is 0, so the separator passes
+    through.  A value x that sits next to x - 1 in every key is skipped:
+    deleting either gives the same child.
+    """
+    first = keys[0]
+    length = len(first)
+    # The first key alone has L - b distinct children (b, its bonds, is
+    # counted only when L itself is over room).
+    if length > room and length - _bonds(list(map(ord, first))) > room:
+        return None
+    joined = "\0".join(keys)
+    rest = length + 1  # where the keys after the first start
+    parts: list[list[str]] = []
+    below: set[str] = set()
+    for x, (up, down) in zip(range(1, length + 1), pairs):
+        if (up in first or down in first) and (
+            joined.count(up, rest) + joined.count(down, rest) == len(keys) - 1
+        ):
+            continue
+        part = joined.translate(drop[x]).split("\0")
+        parts.append(part)
+        below.update(part)
+        if len(below) > room:
+            return None
+    return parts, below
 
 
 @lru_cache(maxsize=64)

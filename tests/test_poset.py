@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,35 +99,60 @@ def test_downset_respects_the_cap():
     assert sum(map(len, downset(Permutation(tuple(range(1, 14)))).values())) == 14
 
 
+class _RecordedTables(list):
+    """A level's drop tables that record which values the level deletes."""
+
+    def __init__(self, tables, deleted):
+        super().__init__(tables)
+        self.deleted = deleted
+
+    def __getitem__(self, value):
+        self.deleted.append(value)
+        return super().__getitem__(value)
+
+
+def _record_levels(monkeypatch):
+    """(keys, deleted values) of each level the build expands, in order."""
+    original, levels = poset._expand_level, []
+
+    def recorded(keys, drop, pairs, room):
+        deleted = []
+        levels.append((list(keys), deleted))
+        return original(keys, _RecordedTables(drop, deleted), pairs, room)
+
+    monkeypatch.setattr(poset, "_expand_level", recorded)
+    return levels
+
+
 def test_the_member_bound_is_exact_and_checked_while_enumerating(monkeypatch):
     # W_9 has 128 patterns: itself, 9 of length 8, ..., and the empty one.
     w9 = oscillation(OscillationId("W", 9))
-    original, calls = poset._delete_each_point, []
-
-    def counted(key, drop, below):
-        calls.append(key)
-        return original(key, drop, below)
-
-    monkeypatch.setattr(poset, "_delete_each_point", counted)
+    levels = _record_levels(monkeypatch)
     monkeypatch.setattr(poset, "MAX_DOWNSET_MEMBERS", 128)
     assert len(DownsetContext(w9).members) == 128
-    assert len(calls) == 127
-    # W_9's own point deletions give 1 + 9 members, and the 8 shorter
-    # lengths hold one more each: 18.  The first length-8 member's
-    # deletions pass 18, long before its level is done.
-    for bound, most_calls in ((127, 126), (18, 2)):
-        calls.clear()
+    assert [len(keys[0]) for keys, _ in levels] == list(range(9, 0, -1))
+    assert sum(len(keys) for keys, _ in levels) == 127
+    # At 127: the 5 members of length 3 give both of length 2 on deleting
+    # value 1, and with the 124 longer members and one each of lengths 1
+    # and 0 that is 128, so values 2 and 3 are never deleted.
+    # At 18: W_9's own point deletions give 1 + 9 members, and the 8 shorter
+    # lengths hold one more each: 18.  The first length-8 member alone has 8
+    # distinct children, so that level is refused before any deletion.
+    for bound, refused_length, deleted in ((127, 3, [1]), (18, 8, [])):
+        levels.clear()
         monkeypatch.setattr(poset, "MAX_DOWNSET_MEMBERS", bound)
         with pytest.raises(
             TooLarge, match=f"^upper bound of length 9 has over {bound} patterns$"
         ):
             DownsetContext(w9)
-        assert 1 <= len(calls) <= most_calls
+        assert len(levels) == 10 - refused_length
+        assert len(levels[-1][0][0]) == refused_length
+        assert levels[-1][1] == deleted
 
 
 def test_one_member_per_length_refuses_before_any_point_deletion(monkeypatch):
     calls = []
-    monkeypatch.setattr(poset, "_delete_each_point", lambda *args: calls.append(args))
+    monkeypatch.setattr(poset, "_expand_level", lambda *args: calls.append(args))
     for n in (poset.MAX_DOWNSET_MEMBERS, 3 * poset.MAX_DOWNSET_MEMBERS):
         with pytest.raises(TooLarge, match=f"length {n} "):
             DownsetContext(Permutation(tuple(range(n, 0, -1))))
@@ -158,7 +184,7 @@ def test_a_permutation_has_one_point_deletion_per_position_not_in_a_bond(monkeyp
 
 def test_the_member_count_bound_refuses_before_any_point_deletion(monkeypatch):
     calls = []
-    monkeypatch.setattr(poset, "_delete_each_point", lambda *args: calls.append(args))
+    monkeypatch.setattr(poset, "_expand_level", lambda *args: calls.append(args))
     values = list(range(1, 2501))
     random.Random(5).shuffle(values)
     bound = poset.MAX_DOWNSET_MEMBERS
@@ -169,23 +195,98 @@ def test_the_member_count_bound_refuses_before_any_point_deletion(monkeypatch):
     assert calls == []
 
 
+def test_a_long_upper_bound_is_refused_before_its_second_level_is_joined(
+    monkeypatch,
+):
+    # 2n - b is within the bound, but the first length-1999 member alone
+    # has about 1999 children on top of pi's about 1999.
+    levels = _record_levels(monkeypatch)
+    values = list(range(1, 2001))
+    random.Random(5).shuffle(values)
+    assert 2 * 2000 - _bonds(values) <= poset.MAX_DOWNSET_MEMBERS
+    with pytest.raises(TooLarge, match="^upper bound of length 2000 has over "):
+        DownsetContext(Permutation(tuple(values)))
+    distinct = 2000 - _bonds(values)
+    assert [len(keys) for keys, _ in levels] == [1, distinct]
+    assert len(levels[0][1]) == distinct and levels[1][1] == []
+
+
+def _common_bonds(keys):
+    """The values x that sit next to x - 1 in every key."""
+    return {
+        x
+        for x in range(2, len(keys[0]) + 1)
+        if all(abs(key.index(chr(x)) - key.index(chr(x - 1))) == 1 for key in keys)
+    }
+
+
 def test_downset_build_deletes_each_point_of_each_member_once(monkeypatch):
-    original = poset._delete_each_point
-    calls = []
-
-    def counted(key, drop, below):
-        calls.append(key)
-        return original(key, drop, below)
-
-    monkeypatch.setattr(poset, "_delete_each_point", counted)
+    levels = _record_levels(monkeypatch)
     w9 = oscillation(OscillationId("W", 9))
     assert w9 == parse_permutation("315274968")
     ctx = DownsetContext(w9)
-    assert len(set(calls)) == len(calls)
-    assert sorted(tuple(map(ord, key)) for key in calls) == sorted(
+    # each member key is expanded in exactly one level ...
+    expanded = [key for keys, _ in levels for key in keys]
+    assert sorted(tuple(map(ord, key)) for key in expanded) == sorted(
         p.values for p in ctx.members if p.values
     )
-    assert sum(map(len, calls)) == sum(len(p.values) for p in ctx.members) == 740
+    # ... which deletes each of its values once, save a value that sits next
+    # to value - 1 in every key: its children are those of value - 1.
+    for keys, deleted in levels:
+        length = len(keys[0])
+        skipped = _common_bonds(keys)
+        assert deleted == [x for x in range(1, length + 1) if x not in skipped]
+    assert levels[-2][1] == [1]  # in 12 and 21, deleting 2 is deleting 1
+    pairs = sum(len(keys) * len(keys[0]) for keys, _ in levels)
+    assert pairs == sum(len(p.values) for p in ctx.members) == 740
+
+
+def test_a_near_chain_deletes_at_most_two_values_per_level(monkeypatch):
+    # In id_300 every value but 1 sits next to value - 1 in every member;
+    # in id_298 + 21 all but two do.
+    levels = _record_levels(monkeypatch)
+    assert len(DownsetContext(Permutation(tuple(range(1, 301)))).members) == 301
+    assert [deleted for _, deleted in levels] == [[1]] * 300
+    levels.clear()
+    pi = Permutation(tuple(range(1, 299)) + (300, 299))
+    assert len(DownsetContext(pi).members) == 599
+    assert max(len(deleted) for _, deleted in levels) == 2
+
+
+def _patterns_by_deletion(values):
+    """Every pattern of values, by repeated one-point deletion of tuples."""
+    seen, frontier = {values}, [values]
+    while frontier:
+        shorter = []
+        for v in frontier:
+            for k, x in enumerate(v):
+                child = tuple(y - (y > x) for y in v[:k] + v[k + 1 :])
+                if child not in seen:
+                    seen.add(child)
+                    shorter.append(child)
+        frontier = shorter
+    return seen
+
+
+def test_order_matrix_is_containment_with_keys_past_ascii():
+    # W_9's keys are ASCII: leq is contains on every pair.
+    w9 = DownsetContext(oscillation(OscillationId("W", 9)))
+    assert all(
+        w9.leq[j, i] == contains(a, b)
+        for i, a in enumerate(w9.members)
+        for j, b in enumerate(w9.members)
+    )
+    # id_129 + 2413 has length 133 and 783 members, with values past 127,
+    # where str.translate leaves its ASCII fast path.  The backtracking
+    # matcher is slow on such long patterns, so sampled rows of leq are
+    # checked against each member's patterns found by tuple deletions.
+    pi = Permutation(tuple(range(1, 130)) + (131, 133, 130, 132))
+    ctx = DownsetContext(pi)
+    assert len(ctx.members) == 783
+    assert {p.values for p in ctx.members} == _patterns_by_deletion(pi.values)
+    for j in [782] + random.Random(3).sample(range(782), 4):
+        want = {ctx.index[v] for v in _patterns_by_deletion(ctx.members[j].values)}
+        assert set(np.flatnonzero(ctx.leq[j]).tolist()) == want, j
 
 
 def test_downset_past_255_points(capsys):
