@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="principal Möbius series")
     p_series.add_argument("--n-max", type=int, required=True)
-    p_series.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_series.add_argument("--format", choices=("csv", "json"), default=None)
     p_series.add_argument(
         "--loglog", action="store_true", help="emit (ln n, ln |mu|) rows"
     )
@@ -324,6 +324,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "check":
             _check_suite_flags(parser, args)
+        elif args.command == "series" and args.loglog and args.format is not None:
+            parser.error("--format is not read by series --loglog")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 import numpy as np
 
 from .errors import EmptyOperand, PreconditionViolation
-from .oscillation_fast import mobius_oscillation, oscillation_id
+from .oscillation_fast import mobius_oscillation
 from .perms import (
     OscillationId,
     Permutation,
@@ -39,6 +39,7 @@ from .perms import (
     is_identity,
     is_reverse_identity,
     is_sum_indecomposable,
+    oscillation_id,
     sum_decompose,
 )
 from .poset import DownsetContext, _downset_ctx, mobius_naive

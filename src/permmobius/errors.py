@@ -2,6 +2,21 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MobiusError",
+    "NotAPermutation",
+    "IndexOutOfRange",
+    "EmptyOperand",
+    "OperandTooShort",
+    "InvalidShape",
+    "TooLarge",
+    "PreconditionViolation",
+    "NotAnOscillation",
+    "NotContained",
+    "RangeError",
+    "Overflow",
+]
+
 
 class MobiusError(Exception):
     """Base class for all package-specific errors."""

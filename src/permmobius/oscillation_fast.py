@@ -10,7 +10,10 @@ is available, where n is the class parameter of the upper bound.
 
 All minimum/maximum block counts, minimal copy counts and weights below are
 closed-form consequences of those inequalities; no pattern matching is
-performed on this path.
+performed on this path.  The oscillations themselves, their recognizer
+(``oscillation_id``) and the table of the oscillation each shape's member
+realizes (``SHAPE_MEMBERS``) belong to ``perms``; the chain table and the
+own-shape table below are built from it.
 
 mu(sigma, W_n / M_n) is filled, for every oscillation sigma, by one O(n log n)
 divisor scan (``_divisor_scan``): a chain member with copy cost q has a
@@ -58,17 +61,19 @@ from .perms import (
     PLAIN,
     RIGHT_CAPPED,
     SHAPE_KINDS,
+    SHAPE_MEMBERS,
     SINGLE21,
     OscillationId,
     Permutation,
     Shape,
-    realize_shape,
+    _shape_of,
+    oscillation,
+    oscillation_id,
 )
 
 __all__ = [
     "PiClass",
     "pi_class_of",
-    "shape_of_pi",
     "min_points",
     "fits_in_pi",
     "raw_min_k",
@@ -122,38 +127,34 @@ class PiClass:
         return OscillationId(self.kind[0], self.length)
 
 
+def _upper_class(kind: str, n: int) -> str:
+    """The class of the upper bound kind_n."""
+    if kind == "W":
+        return W_EVEN if n % 2 == 0 else W_ODD
+    return M_EVEN if n % 2 == 0 else M_ODD
+
+
 def pi_class_of(id: OscillationId) -> PiClass:
     """The parity class of W_n / M_n."""
-    if id.n % 2 == 0:
-        kind = W_EVEN if id.kind == "W" else M_EVEN
-        return PiClass(kind, id.n // 2)
-    kind = W_ODD if id.kind == "W" else M_ODD
-    return PiClass(kind, (id.n + 1) // 2)
+    return PiClass(_upper_class(id.kind, id.n), (id.n + 1) // 2)
 
 
 # Chain shapes (every shape but the bare 21): the extra cost c of the copy
 # cost q = 2k + c of the k-block member, and that member's oscillation kind
-# and length offset (the member is kind_{q + offset}).
+# and length offset from perms.SHAPE_MEMBERS (the member is kind_{q + offset}).
 _CHAINS = {
-    PLAIN: (2, "W", -2),
-    LEFT_CAPPED: (2, "M", -1),
-    RIGHT_CAPPED: (2, "W", -1),
-    BOTH_CAPPED: (4, "M", -2),
+    shape_kind: (cost, kind, extra - cost)
+    for shape_kind, cost in ((PLAIN, 2), (LEFT_CAPPED, 2), (RIGHT_CAPPED, 2), (BOTH_CAPPED, 4))
+    for kind, extra in [SHAPE_MEMBERS[shape_kind]]
 }
 
 # The chain shape of an upper bound of each class; its top member is the
 # upper bound itself and is excluded from every sum.
-_OWN_CHAIN = {W_EVEN: PLAIN, W_ODD: RIGHT_CAPPED, M_EVEN: BOTH_CAPPED, M_ODD: LEFT_CAPPED}
-
-
-def shape_of_pi(pi: PiClass) -> Optional[Shape]:
-    """The Shape realizing the upper bound (None for length 1)."""
-    if pi.length == 1:
-        return None
-    if pi.length == 2:
-        return Shape(SINGLE21)
-    kind = _OWN_CHAIN[pi.kind]
-    return Shape(kind, pi.n if kind == PLAIN else pi.n - 1)
+_OWN_CHAIN = {
+    _upper_class(kind, extra): shape_kind
+    for shape_kind, (kind, extra) in SHAPE_MEMBERS.items()
+    if shape_kind != SINGLE21
+}
 
 
 # Per-copy point cost of a shape as a direct-sum block.
@@ -271,16 +272,13 @@ def max_k(shape_kind: str, pi: PiClass) -> int:
     """Largest block count embeddable at r = 1, reduced by one when the
     shape coincides with the upper bound's own shape (excluding the upper
     bound itself from the candidate list); never negative."""
-    b = _offset(shape_kind, pi)
-    budget = pi.budget
+    room = pi.budget - _offset(shape_kind, pi)
     if shape_kind == SINGLE21:
-        k = 1 if 3 + b <= budget else 0
-    elif shape_kind == BOTH_CAPPED:
-        k = (budget - b - 4) // 2
+        k = 1 if _copy_cost(SINGLE21, 1) <= room else 0
     else:
-        k = (budget - b - 2) // 2
-    pi_shape = shape_of_pi(pi)
-    if pi_shape is not None and pi_shape.kind == shape_kind:
+        k = (room - _copy_cost(shape_kind, 0)) // 2
+    own = _shape_of(pi.oscillation_id)
+    if own is not None and own.kind == shape_kind:
         k -= 1
     return max(k, 0)
 
@@ -314,36 +312,6 @@ def weight_osc(sigma: Permutation, shape_kind: str, k: int, pi: PiClass) -> int:
             f"{max_k(shape_kind, pi)}] for {shape_kind}"
         )
     return _rank_and_weight(shape_kind, k, pi)[1]
-
-
-# Oscillation realized by a shape's k-block member.
-def _shape_member_id(shape_kind: str, k: int) -> OscillationId:
-    if shape_kind == SINGLE21:
-        return OscillationId("W", 2)
-    extra, kind, offset = _CHAINS[shape_kind]
-    return OscillationId(kind, 2 * k + extra + offset)
-
-
-def oscillation_id(p: Permutation) -> Optional[OscillationId]:
-    """Which oscillation p is (W for |p| <= 2), or None when p is none.
-
-    Past length 2, W_n = 3 1 5 2 7 4 ... and M_n = 2 4 1 6 3 8 ... are two
-    interleaved progressions: value i + 3 at every other position i (the
-    even ones in W_n, the odd ones in M_n) and i - 1 at the others.  Two
-    ends differ: the first position of the i - 1 progression holds 1 in
-    W_n and 2 in M_n, and the last of the i + 3 progression holds the one
-    value left over, n - 1 at position n - 1 or n at position n - 2.
-    """
-    v = p.values
-    n = len(v)
-    if n <= 2:
-        return OscillationId("W", n) if n and v[0] == n else None
-    up = 0 if v[0] > v[1] else 1  # parity of the positions holding i + 3
-    want = [i + 3 if i % 2 == up else i - 1 for i in range(n)]
-    want[1 - up] = 1 + up
-    last = n - 1 - (n - 1 - up) % 2
-    want[last] = n - 1 if last == n - 1 else n
-    return OscillationId("WM"[up], n) if tuple(want) == v else None
 
 
 def _require_id(p: Union[OscillationId, Permutation]) -> OscillationId:
@@ -419,13 +387,6 @@ def _fill_memo(sigma: Permutation, cls: PiClass, up_to: int) -> None:
 _BLOCK_MIN = 512
 
 _OVERFLOW = "oscillation Möbius value exceeds the 64-bit guard"
-
-
-def _upper_class(kind: str, n: int) -> str:
-    """The class of the upper bound kind_n."""
-    if kind == "W":
-        return W_EVEN if n % 2 == 0 else W_ODD
-    return M_EVEN if n % 2 == 0 else M_ODD
 
 
 def _divisor_scan(
@@ -751,13 +712,12 @@ def trace_oscillation(
         lines.append(f"shape={shape_kind} min_k={shown} max_k={hi}")
         emitted = False
         for k in range(lo, hi + 1):
-            member = _shape_member_id(shape_kind, k)
+            member = Shape(shape_kind, k).member
             if not _sigma_leq_osc(sigma_id, member):
                 continue
             r, w = _rank_and_weight(shape_kind, k, pic)
             mu = mobius_oscillation(sigma, member)
-            alpha = realize_shape(Shape(shape_kind, k))
-            rows.append(f"alpha={alpha} r={r} weight={w} mu={mu}")
+            rows.append(f"alpha={oscillation(member)} r={r} weight={w} mu={mu}")
             emitted = True
         if not emitted:
             if shape_kind == SINGLE21:

@@ -4,6 +4,14 @@ Permutations are finite sequences in one-line notation: position i (1-based)
 holds value ``values[i-1]``, and the values form a bijection onto {1..n}.
 The empty permutation (n = 0) is written ``EMPTY`` and acts as the neutral
 element of the direct sum.
+
+This module owns the increasing oscillations W_n / M_n: one closed form
+gives their values (``oscillation``), one O(n) pass recognizes them
+(``oscillation_id``), and one table, ``SHAPE_MEMBERS``, maps each shape of
+the paper's recursion to the oscillation it realizes.  ``Shape.length``,
+``realize_shape``, ``classify_oscillation`` and ``is_increasing_oscillation``
+are derived from those three; ``interleave`` and ``iterated_interleave_21``
+are the paper's constructions of the same permutations.
 """
 
 from __future__ import annotations
@@ -42,9 +50,11 @@ __all__ = [
     "RIGHT_CAPPED",
     "BOTH_CAPPED",
     "SHAPE_KINDS",
+    "SHAPE_MEMBERS",
     "realize_shape",
     "OscillationId",
     "oscillation",
+    "oscillation_id",
     "oscillating_sequence_prefix",
     "classify_oscillation",
     "is_increasing_oscillation",
@@ -219,11 +229,6 @@ def contains(sigma: Permutation, pi: Permutation) -> bool:
     return False
 
 
-def strictly_contains(sigma: Permutation, pi: Permutation) -> bool:
-    """True iff sigma < pi in the containment order (contained and distinct)."""
-    return sigma.values != pi.values and contains(sigma, pi)
-
-
 # ---------------------------------------------------------------------------
 # Point deletion
 # ---------------------------------------------------------------------------
@@ -309,7 +314,7 @@ def iterated_interleave_21(k: int) -> Permutation:
 
 
 # ---------------------------------------------------------------------------
-# Shapes of indecomposable permutations inside increasing oscillations
+# Increasing oscillations and the shapes of their members
 # ---------------------------------------------------------------------------
 
 SINGLE21 = "Single21"
@@ -319,6 +324,23 @@ RIGHT_CAPPED = "RightCapped"
 BOTH_CAPPED = "BothCapped"
 
 SHAPE_KINDS = (SINGLE21, PLAIN, LEFT_CAPPED, RIGHT_CAPPED, BOTH_CAPPED)
+
+# The oscillation each shape realizes: its kind and the extra length e of
+# the k-block member kind_{2k + e}.  Single21 has k = 1 and is W_2.
+SHAPE_MEMBERS = {
+    SINGLE21: ("W", 0),
+    PLAIN: ("W", 0),
+    LEFT_CAPPED: ("M", 1),
+    RIGHT_CAPPED: ("W", 1),
+    BOTH_CAPPED: ("M", 2),
+}
+
+# The inverse past length 2: the chain shape of kind_n by (kind, n % 2).
+_CHAIN_OF = {
+    (kind, extra % 2): shape_kind
+    for shape_kind, (kind, extra) in SHAPE_MEMBERS.items()
+    if shape_kind != SINGLE21
+}
 
 
 @dataclass(frozen=True)
@@ -347,36 +369,12 @@ class Shape:
     @property
     def length(self) -> int:
         """Length of the realized permutation."""
-        if self.kind == SINGLE21:
-            return 2
-        base = 2 * self.k
-        if self.kind == PLAIN:
-            return base
-        if self.kind == BOTH_CAPPED:
-            return base + 2
-        return base + 1
+        return 2 * self.k + SHAPE_MEMBERS[self.kind][1]
 
-
-_ONE = Permutation._wrap((1,))
-
-
-def realize_shape(s: Shape) -> Permutation:
-    """The permutation of the given shape (caps attached here only)."""
-    if s.kind == SINGLE21:
-        return Permutation._wrap((2, 1))
-    chain = iterated_interleave_21(s.k)
-    if s.kind == PLAIN:
-        return chain
-    if s.kind == LEFT_CAPPED:
-        return interleave(_ONE, chain)
-    if s.kind == RIGHT_CAPPED:
-        return interleave(chain, _ONE)
-    return interleave(interleave(_ONE, chain), _ONE)
-
-
-# ---------------------------------------------------------------------------
-# Increasing oscillations
-# ---------------------------------------------------------------------------
+    @property
+    def member(self) -> OscillationId:
+        """The oscillation this shape realizes."""
+        return OscillationId(SHAPE_MEMBERS[self.kind][0], self.length)
 
 
 @dataclass(frozen=True)
@@ -393,21 +391,56 @@ class OscillationId:
             raise InvalidShape(f"oscillation length must be >= 1, got {self.n}")
 
 
+_ONE = Permutation._wrap((1,))
+
+
+def _oscillation_values(kind: str, n: int) -> tuple[int, ...]:
+    """The values of kind_n (n >= 1).
+
+    Past length 1, W_n = 3 1 5 2 7 4 ... and M_n = 2 4 1 6 3 8 ... are two
+    interleaved progressions: value i + 3 at every other position i (the
+    even ones in W_n, the odd ones in M_n) and i - 1 at the others.  Two
+    ends differ: the first position of the i - 1 progression holds 1 in
+    W_n and 2 in M_n, and the last of the i + 3 progression holds the one
+    value left over, n - 1 at position n - 1 or n at position n - 2.
+    """
+    if n == 1:
+        return (1,)
+    up = 0 if kind == "W" else 1  # parity of the positions holding i + 3
+    want = [i + 3 if i % 2 == up else i - 1 for i in range(n)]
+    want[1 - up] = 1 + up
+    last = n - 1 - (n - 1 - up) % 2
+    want[last] = n - 1 if last == n - 1 else n
+    return tuple(want)
+
+
 def oscillation(id: OscillationId) -> Permutation:
     """Realize W_n / M_n (W_1 = M_1 = 1; W_2 = M_2 = 21)."""
-    n = id.n
-    if n == 1:
-        return _ONE
-    if n == 2:
-        return Permutation._wrap((2, 1))
-    half = n // 2
-    if id.kind == "W":
-        if n % 2 == 0:
-            return iterated_interleave_21(half)
-        return realize_shape(Shape(RIGHT_CAPPED, half))
-    if n % 2 == 0:
-        return realize_shape(Shape(BOTH_CAPPED, half - 1))
-    return realize_shape(Shape(LEFT_CAPPED, half))
+    return Permutation._wrap(_oscillation_values(id.kind, id.n))
+
+
+def oscillation_id(p: Permutation) -> Optional[OscillationId]:
+    """Which oscillation p is (W for |p| <= 2), or None when p is none: one
+    comparison with the values of the kind p's first two values select."""
+    v = p.values
+    n = len(v)
+    if n <= 2:
+        return OscillationId("W", n) if n and v[0] == n else None
+    kind = "W" if v[0] > v[1] else "M"
+    return OscillationId(kind, n) if _oscillation_values(kind, n) == v else None
+
+
+def _shape_of(id: OscillationId) -> Optional[Shape]:
+    """The Shape realizing W_n / M_n (None for n = 1), by one lookup."""
+    if id.n <= 2:
+        return Shape(SINGLE21) if id.n == 2 else None
+    kind = _CHAIN_OF[id.kind, id.n % 2]
+    return Shape(kind, (id.n - SHAPE_MEMBERS[kind][1]) // 2)
+
+
+def realize_shape(s: Shape) -> Permutation:
+    """The permutation of the given shape: the oscillation it realizes."""
+    return oscillation(s.member)
 
 
 def oscillating_sequence_prefix(m: int) -> Permutation:
@@ -422,26 +455,15 @@ def oscillating_sequence_prefix(m: int) -> Permutation:
 
 
 def classify_oscillation(pi: Permutation) -> Optional[Shape]:
-    """The unique Shape realizing pi, or None."""
-    n = len(pi.values)
-    candidates: list[Shape] = []
-    if n == 2:
-        candidates.append(Shape(SINGLE21))
-    elif n >= 4 and n % 2 == 0:
-        candidates.append(Shape(PLAIN, n // 2))
-        candidates.append(Shape(BOTH_CAPPED, (n - 2) // 2))
-    elif n >= 3:
-        candidates.append(Shape(LEFT_CAPPED, (n - 1) // 2))
-        candidates.append(Shape(RIGHT_CAPPED, (n - 1) // 2))
-    for shape in candidates:
-        if realize_shape(shape).values == pi.values:
-            return shape
-    return None
+    """The unique Shape realizing pi, or None.  1 (= W_1) realizes no Shape,
+    so it gives None too; is_increasing_oscillation accepts it."""
+    id = oscillation_id(pi)
+    return None if id is None else _shape_of(id)
 
 
 def is_increasing_oscillation(pi: Permutation) -> bool:
     """True iff pi is 1 or realizes one of the five shapes."""
-    return len(pi.values) == 1 or classify_oscillation(pi) is not None
+    return oscillation_id(pi) is not None
 
 
 # ---------------------------------------------------------------------------

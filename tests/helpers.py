@@ -182,16 +182,56 @@ def _osc_weight_signed(shape: str, k: int, cls: str, n: int) -> int:
     return 0
 
 
+def shape_ref(shape: str, k: int) -> tuple[int, ...]:
+    """The k-block member of a shape, by the paper's constructions: the
+    left-to-right interleave of k copies of 21, with 1 interleaved on the
+    left, on the right or on both sides for the capped shapes."""
+    from permmobius import Permutation, interleave, iterated_interleave_21
+
+    if shape == "Single21":
+        return (2, 1)
+    one = Permutation((1,))
+    chain = iterated_interleave_21(k)
+    if shape in ("LeftCapped", "BothCapped"):
+        chain = interleave(one, chain)
+    if shape in ("RightCapped", "BothCapped"):
+        chain = interleave(chain, one)
+    return chain.values
+
+
+def oscillation_ref(vals: tuple[int, ...]):
+    """((shape, k), (kind, length)) when vals is an increasing oscillation,
+    with shape None for 1 = W_1; None otherwise.
+
+    The candidate shapes of vals' length are realized by shape_ref and
+    compared by values, so this shares no code with the package's closed
+    form, its recognizer or its shape table.
+    """
+    n = len(vals)
+    if vals == (1,):
+        return None, ("W", 1)
+    if n == 2:
+        candidates = [("Single21", 1)]
+    elif n % 2 == 0 and n >= 4:
+        candidates = [("Plain", n // 2), ("BothCapped", (n - 2) // 2)]
+    elif n >= 3:
+        candidates = [("LeftCapped", (n - 1) // 2), ("RightCapped", (n - 1) // 2)]
+    else:
+        candidates = []
+    for shape, k in candidates:
+        if shape_ref(shape, k) == vals:
+            return (shape, k), _osc_member(shape, k)
+    return None
+
+
 def osc_min_k_ref(sigma: tuple[int, ...], shape: str) -> int:
     """Smallest block count whose realized shape contains sigma, found by
     exhaustive subsequence search (a large sentinel when none does)."""
-    from permmobius import Shape, realize_shape
-
     if shape == "Single21":
         return 1 if contains_ref(sigma, (2, 1)) else 1 << 30
     k = 2 if shape == "Plain" else 1
     while 2 * k <= len(sigma) + 2:
-        if contains_ref(sigma, realize_shape(Shape(shape, k)).values):
+        if contains_ref(sigma, shape_ref(shape, k)):
             return k
         k += 1
     return 1 << 30

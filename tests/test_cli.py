@@ -244,6 +244,13 @@ def test_series_loglog_rows_and_skip_counter(capsys):
     assert err == "skipped: 0\n"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_series_loglog_refuses_a_format(capsys, fmt):
+    rc, out, err = run_cli(capsys, ["series", "--n-max", "6", "--loglog", "--format", fmt])
+    assert (rc, out) == (2, "")
+    assert err.endswith("error: --format is not read by series --loglog\n")
+
+
 # sha256 of stdout; the series values and ratios are pinned to the last byte
 @pytest.mark.parametrize(
     "argv, digest",

@@ -38,7 +38,7 @@ from permmobius import (
     weight_general,
 )
 from permmobius import engine as engine_module
-from permmobius import oscillation_fast, poset
+from permmobius import perms, poset
 
 from helpers import all_perm_tuples
 
@@ -454,7 +454,7 @@ def _count_classifications(monkeypatch) -> list:
     """Replace every binding of oscillation_id, the one oscillation
     classifier, in the package's modules by a wrapper that records its
     arguments."""
-    original = oscillation_fast.oscillation_id
+    original = perms.oscillation_id
     calls: list = []
 
     def counted(p):

@@ -12,6 +12,7 @@ from permmobius import (
     OscillationId,
     Overflow,
     Permutation,
+    PiClass,
     PreconditionViolation,
     Shape,
     contains,
@@ -37,10 +38,15 @@ from permmobius import (
     weight_osc,
 )
 from permmobius import oscillation_fast
-from permmobius.oscillation_fast import clear_oscillation_memo, oscillation_id
-from permmobius.perms import SHAPE_KINDS, classify_oscillation
+from permmobius.oscillation_fast import clear_oscillation_memo
+from permmobius.perms import (
+    SHAPE_KINDS,
+    classify_oscillation,
+    is_increasing_oscillation,
+    oscillation_id,
+)
 
-from helpers import mobius_osc_ref
+from helpers import mobius_osc_ref, oscillation_ref
 
 P = parse_permutation
 
@@ -218,6 +224,26 @@ def test_max_k_frozen_rows():
         "RightCapped": 3,
         "BothCapped": 2,
     }
+
+
+def test_max_k_leaves_out_exactly_the_upper_bounds_own_shape():
+    # length 2 is the bare 21, and length 1 realizes no shape
+    assert classify_oscillation(oscillation(OscillationId("W", 2))) == Shape("Single21")
+    assert classify_oscillation(oscillation(OscillationId("W", 1))) is None
+    for cls_kind in ("W_even", "W_odd", "M_even", "M_odd"):
+        for n in range(1, 201):
+            pc = PiClass(cls_kind, n)
+            upper = oscillation(pc.oscillation_id)
+            own = classify_oscillation(upper)
+            # a shape is left out when the block count past max_k still fits
+            left_out = set()
+            for kind in SHAPE_KINDS:
+                k = max(max_k(kind, pc) + 1, SHAPE_DOMAIN_MIN[kind])
+                if (kind != "Single21" or k == 1) and fits_in_pi(Shape(kind, k), 1, pc):
+                    left_out.add(kind)
+                    # the member left out is the upper bound itself
+                    assert realize_shape(Shape(kind, k)) == upper, (pc, kind)
+            assert left_out == (set() if own is None else {own.kind}), pc
 
 
 # ------------------------------------------------------------------- ranks
@@ -595,19 +621,25 @@ def test_the_overflow_guard_holds_on_both_forms(monkeypatch, n_max, guard):
     assert principal_mu_series(n_max) == want
 
 
-def _classified_id(p):
-    """oscillation_id by the shape classifier."""
-    if len(p.values) == 1:
-        return OscillationId("W", 1)
-    shape = classify_oscillation(p)
-    return None if shape is None else oscillation_fast._shape_member_id(shape.kind, shape.k)
+def _assert_recognized_as_the_reference(p):
+    """oscillation_id, classify_oscillation and is_increasing_oscillation
+    against the reference recognizer built from the interleave
+    constructions (helpers.oscillation_ref)."""
+    ref = oscillation_ref(p.values)
+    if ref is None:
+        assert (oscillation_id(p), classify_oscillation(p)) == (None, None), p
+        assert not is_increasing_oscillation(p), p
+        return
+    shape, member = ref
+    assert oscillation_id(p) == OscillationId(*member), p
+    assert classify_oscillation(p) == (None if shape is None else Shape(*shape)), p
+    assert is_increasing_oscillation(p), p
 
 
 def test_oscillation_id_agrees_with_the_shape_classifier():
     for n in range(9):
         for values in itertools.permutations(range(1, n + 1)):
-            p = Permutation(values)
-            assert oscillation_id(p) == _classified_id(p), values
+            _assert_recognized_as_the_reference(Permutation(values))
     # W_n / M_n to n = 300 and their one-transposition neighbours: every
     # one for n <= 12, past that those among the three first and three
     # last positions, where the two end adjustments sit
@@ -618,11 +650,11 @@ def test_oscillation_id_agrees_with_the_shape_classifier():
             assert oscillation_id(Permutation(values)) == OscillationId(
                 "W" if n <= 2 else kind, n
             )
+            _assert_recognized_as_the_reference(Permutation(values))
             for i, j in itertools.combinations(ends, 2):
                 swapped = list(values)
                 swapped[i], swapped[j] = swapped[j], swapped[i]
-                p = Permutation(swapped)
-                assert oscillation_id(p) == _classified_id(p), (kind, n, i, j)
+                _assert_recognized_as_the_reference(Permutation(swapped))
 
 
 def test_ascending_queries_grow_the_divisor_table_a_logarithmic_number_of_times(
