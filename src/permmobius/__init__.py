@@ -5,185 +5,23 @@ over the enumerated interval, a weighted contributing-set recursion for
 sum-indecomposable lower bounds, and an inequality-only fast path when the
 upper bound is an increasing oscillation.  On top of the fast path sits the
 principal series mu(1, W_n) with its conjecture checks.
+
+The package exports the ``__all__`` of each submodule but ``cli``; each
+name is declared once, in the module that defines it.
 """
 
-from .errors import (
-    EmptyOperand,
-    IndexOutOfRange,
-    InvalidShape,
-    MobiusError,
-    NotAnOscillation,
-    NotAPermutation,
-    NotContained,
-    OperandTooShort,
-    Overflow,
-    PreconditionViolation,
-    RangeError,
-    TooLarge,
-)
-from .perms import (
-    EMPTY,
-    OscillationId,
-    Permutation,
-    Shape,
-    SumDecomposition,
-    classify_oscillation,
-    complement,
-    contains,
-    delete_point,
-    direct_sum,
-    family_interleave,
-    family_sum,
-    from_one_line,
-    interleave,
-    inverse,
-    is_identity,
-    is_increasing_oscillation,
-    is_reverse_identity,
-    is_simple,
-    is_sum_indecomposable,
-    iterated_interleave_21,
-    iterated_sum,
-    oscillating_sequence_prefix,
-    oscillation,
-    parse_permutation,
-    realize_shape,
-    reverse,
-    skew_interleave,
-    skew_sum,
-    standardize,
-    sum_decompose,
-)
-from .poset import (
-    MAX_DOWNSET_MEMBERS,
-    IntervalTable,
-    downset,
-    interval,
-    mobius_naive,
-    mobius_naive_column,
-)
-from .engine import (
-    MobiusCache,
-    MobiusEngine,
-    WeightedContribution,
-    min_r_general,
-    mobius,
-    weight_general,
-)
-from .oscillation_fast import (
-    PiClass,
-    fits_in_pi,
-    max_k,
-    min_k,
-    min_points,
-    min_r_osc,
-    mobius_oscillation,
-    pi_class_of,
-    principal_mu_series,
-    raw_min_k,
-    trace_oscillation,
-    weight_osc,
-)
-from .analysis import (
-    BandingReport,
-    BandReport,
-    SeriesRecord,
-    Violation,
-    banding_report,
-    banding_window,
-    is_prime,
-    jelinek_check,
-    jelinek_window,
-    loglog_export,
-    principal_series,
-)
+from . import analysis, engine, errors, oscillation_fast, perms, poset
+from .errors import *  # noqa: F401,F403
+from .perms import *  # noqa: F401,F403
+from .poset import *  # noqa: F401,F403
+from .engine import *  # noqa: F401,F403
+from .oscillation_fast import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "MobiusError",
-    "NotAPermutation",
-    "IndexOutOfRange",
-    "EmptyOperand",
-    "OperandTooShort",
-    "InvalidShape",
-    "TooLarge",
-    "PreconditionViolation",
-    "NotAnOscillation",
-    "NotContained",
-    "RangeError",
-    "Overflow",
-    # permutation core
-    "Permutation",
-    "EMPTY",
-    "from_one_line",
-    "parse_permutation",
-    "standardize",
-    "contains",
-    "delete_point",
-    "direct_sum",
-    "skew_sum",
-    "interleave",
-    "skew_interleave",
-    "iterated_sum",
-    "iterated_interleave_21",
-    "Shape",
-    "realize_shape",
-    "OscillationId",
-    "oscillation",
-    "oscillating_sequence_prefix",
-    "classify_oscillation",
-    "is_increasing_oscillation",
-    "SumDecomposition",
-    "sum_decompose",
-    "is_sum_indecomposable",
-    "family_sum",
-    "family_interleave",
-    "inverse",
-    "reverse",
-    "complement",
-    "is_simple",
-    "is_identity",
-    "is_reverse_identity",
-    # poset
-    "MAX_DOWNSET_MEMBERS",
-    "downset",
-    "IntervalTable",
-    "interval",
-    "mobius_naive",
-    "mobius_naive_column",
-    # engine
-    "MobiusCache",
-    "MobiusEngine",
-    "WeightedContribution",
-    "mobius",
-    "min_r_general",
-    "weight_general",
-    # oscillation fast path
-    "PiClass",
-    "pi_class_of",
-    "min_points",
-    "fits_in_pi",
-    "raw_min_k",
-    "min_k",
-    "max_k",
-    "min_r_osc",
-    "weight_osc",
-    "mobius_oscillation",
-    "trace_oscillation",
-    "principal_mu_series",
-    # analysis
-    "SeriesRecord",
-    "principal_series",
-    "Violation",
-    "jelinek_window",
-    "jelinek_check",
-    "BandReport",
-    "BandingReport",
-    "banding_window",
-    "banding_report",
-    "loglog_export",
-    "is_prime",
+__all__ = ["__version__"] + [
+    name
+    for module in (errors, perms, poset, engine, oscillation_fast, analysis)
+    for name in module.__all__
 ]

@@ -129,6 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--max-len", type=int, default=None)
     add_flags(p_check, cache=True)
 
+    # Each subcommand's own parser, for the usage line of _usage_error.
+    for command in sub.choices.values():
+        command.set_defaults(subparser=command)
     return parser
 
 
@@ -250,15 +253,29 @@ def _crosscheck(args: argparse.Namespace, max_len: int) -> list[Violation]:
     return violations
 
 
-def _check_suite_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Exit with a usage error on a flag that the suite does not read, and
-    on a crosscheck of no length."""
+def _flag_conflict(args: argparse.Namespace) -> Optional[str]:
+    """The usage error of a flag that the command does not read (a flag
+    that the check suite does not read, a format for series --loglog), or
+    of a crosscheck of no length; None when there is none."""
+    if args.command == "series" and args.loglog and args.format is not None:
+        return "--format is not read by series --loglog"
+    if args.command != "check":
+        return None
     for flag in ("n_max", "range", "max_len", "cache_bytes"):
         if getattr(args, flag) is not None and flag not in _SUITE_FLAGS[args.suite]:
             name = flag.replace("_", "-")
-            parser.error(f"--{name} is not read by --suite {args.suite}")
+            return f"--{name} is not read by --suite {args.suite}"
     if args.max_len is not None and args.max_len < 1:
-        parser.error(f"--max-len must be at least 1, got {args.max_len}")
+        return f"--max-len must be at least 1, got {args.max_len}"
+    return None
+
+
+def _usage_error(args: argparse.Namespace, message: str) -> int:
+    """Report a usage error found after parsing under the subcommand's
+    usage line, as argparse reports its own."""
+    args.subparser.print_usage(sys.stderr)
+    print(f"permmobius: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[list[str], int]:
@@ -322,18 +339,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "check":
-            _check_suite_flags(parser, args)
-        elif args.command == "series" and args.loglog and args.format is not None:
-            parser.error("--format is not read by series --loglog")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
+    conflict = _flag_conflict(args)
+    if conflict is not None:
+        return _usage_error(args, conflict)
     try:
         lines, code = _COMMANDS[args.command](args)
     except NotAPermutation as exc:
-        parser.print_usage(sys.stderr)
-        print(f"permmobius: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(args, str(exc))
     except MobiusError as exc:
         print(f"permmobius: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

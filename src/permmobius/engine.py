@@ -78,10 +78,6 @@ class MobiusCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def size_bytes(self) -> int:
-        return self._bytes
-
     @staticmethod
     def _cost(key: _Key) -> int:
         return len(key[0]) + len(key[1]) + _ENTRY_OVERHEAD
@@ -105,10 +101,6 @@ class MobiusCache:
         while self._bytes > self.max_bytes and self._entries:
             old_key, _ = self._entries.popitem(last=False)
             self._bytes -= self._cost(old_key)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._bytes = 0
 
 
 @dataclass(frozen=True)

@@ -64,3 +64,7 @@ class RangeError(MobiusError, ValueError):
 
 class Overflow(MobiusError, OverflowError):
     """A computed value left the checked 64-bit range."""
+
+
+# The checked range: a value whose magnitude reaches this raises Overflow.
+_INT64_GUARD = 1 << 62

@@ -48,6 +48,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import (
+    _INT64_GUARD,
     InvalidShape,
     NotAnOscillation,
     NotContained,
@@ -77,10 +78,7 @@ __all__ = [
     "min_points",
     "fits_in_pi",
     "raw_min_k",
-    "min_k",
     "max_k",
-    "min_r_osc",
-    "weight_osc",
     "mobius_oscillation",
     "trace_oscillation",
     "principal_mu_series",
@@ -95,8 +93,6 @@ M_ODD = "M_odd"
 _PI_KINDS = (W_EVEN, W_ODD, M_EVEN, M_ODD)
 
 _SENTINEL_K = 1 << 30
-
-_INT64_GUARD = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -231,25 +227,6 @@ def raw_min_k(
     return k
 
 
-def _structural_min_k(shape_kind: str) -> int:
-    return 2 if shape_kind == PLAIN else 1
-
-
-def min_k(sigma: Permutation, shape_kind: str) -> int:
-    """Lower end of the block-count range for the shape.
-
-    For a chain shape this is the smallest block count whose term can be
-    nonzero (``_engine_min_k``).  For the bare-21 shape the range is
-    reported from 1: when sigma is neither 1 nor 21 the lone term is
-    annihilated by mu(sigma, 21) = 0, so the printed range is harmless.
-    """
-    if shape_kind not in SHAPE_KINDS:
-        raise InvalidShape(f"unknown shape kind {shape_kind!r}")
-    if shape_kind == SINGLE21:
-        return 1
-    return _engine_min_k(sigma, shape_kind)
-
-
 def _lower_class(id: OscillationId) -> Optional[PiClass]:
     """The class of a lower bound (None for sigma = 1)."""
     return None if id.n == 1 else pi_class_of(id)
@@ -257,7 +234,7 @@ def _lower_class(id: OscillationId) -> Optional[PiClass]:
 
 def _class_min_k(shape_kind: str, cls: Optional[PiClass]) -> int:
     """_engine_min_k for a lower bound of class cls (None for sigma = 1)."""
-    structural = _structural_min_k(shape_kind)
+    structural = 2 if shape_kind == PLAIN else 1
     if cls is None:
         return structural
     return max(_raw_min_k_table(shape_kind, cls.kind, cls.n), structural)
@@ -296,22 +273,6 @@ def _rank_and_weight(shape_kind: str, k: int, pi: PiClass) -> tuple[int, int]:
     if q * (r + 1) > t:
         return r, -1
     return r, 0
-
-
-def min_r_osc(shape_kind: str, k: int, pi: PiClass) -> int:
-    """Smallest copy count r whose doubly-capped family member no longer
-    fits, solved in closed form."""
-    return _rank_and_weight(shape_kind, k, pi)[0]
-
-
-def weight_osc(sigma: Permutation, shape_kind: str, k: int, pi: PiClass) -> int:
-    """Reported weight of the shape's k-block member, at r = min_r_osc."""
-    if not (min_k(sigma, shape_kind) <= k <= max_k(shape_kind, pi)):
-        raise PreconditionViolation(
-            f"block count {k} outside [{min_k(sigma, shape_kind)}, "
-            f"{max_k(shape_kind, pi)}] for {shape_kind}"
-        )
-    return _rank_and_weight(shape_kind, k, pi)[1]
 
 
 def _require_id(p: Union[OscillationId, Permutation]) -> OscillationId:
@@ -707,7 +668,9 @@ def trace_oscillation(
     for shape_kind in SHAPE_KINDS:
         lo = _class_min_k(shape_kind, cls)
         hi = max_k(shape_kind, pi=pic)
-        # As in min_k, the bare-21 range is printed from 1.
+        # The bare-21 range is printed from 1: when sigma is neither 1 nor
+        # 21 its lone term is annihilated by mu(sigma, 21) = 0, so the
+        # printed range is harmless.
         shown = 1 if shape_kind == SINGLE21 else lo
         lines.append(f"shape={shape_kind} min_k={shown} max_k={hi}")
         emitted = False

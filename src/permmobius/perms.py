@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     EmptyOperand,
@@ -32,15 +32,11 @@ from .errors import (
 __all__ = [
     "Permutation",
     "EMPTY",
-    "from_one_line",
     "parse_permutation",
-    "standardize",
     "contains",
-    "delete_point",
     "direct_sum",
     "skew_sum",
     "interleave",
-    "skew_interleave",
     "iterated_sum",
     "iterated_interleave_21",
     "Shape",
@@ -55,18 +51,15 @@ __all__ = [
     "OscillationId",
     "oscillation",
     "oscillation_id",
-    "oscillating_sequence_prefix",
     "classify_oscillation",
     "is_increasing_oscillation",
     "SumDecomposition",
     "sum_decompose",
     "is_sum_indecomposable",
     "family_sum",
-    "family_interleave",
     "inverse",
     "reverse",
     "complement",
-    "is_simple",
     "is_identity",
     "is_reverse_identity",
 ]
@@ -129,11 +122,6 @@ class Permutation:
 EMPTY = Permutation(())
 
 
-def from_one_line(seq: Iterable[int]) -> Permutation:
-    """Build a validated permutation from a one-line value sequence."""
-    return Permutation(seq)
-
-
 _BARE_DIGITS = re.compile(r"^\d+$")
 
 
@@ -156,15 +144,6 @@ def parse_permutation(text: str) -> Permutation:
     except ValueError as exc:
         raise NotAPermutation(f"cannot parse {text!r} as a permutation") from exc
     return Permutation(vals)
-
-
-def standardize(values: Sequence[int]) -> Permutation:
-    """Pattern of an arbitrary sequence of distinct numbers."""
-    order = sorted(values)
-    rank = {v: i + 1 for i, v in enumerate(order)}
-    if len(rank) != len(values):
-        raise NotAPermutation(f"values {values!r} are not distinct")
-    return Permutation._wrap(tuple(rank[v] for v in values))
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +209,6 @@ def contains(sigma: Permutation, pi: Permutation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Point deletion
-# ---------------------------------------------------------------------------
-
-
-def _delete_value_at(vals: tuple[int, ...], index0: int) -> tuple[int, ...]:
-    """Remove the point at 0-based index and renormalize values."""
-    v = vals[index0]
-    return tuple(
-        (x - 1 if x > v else x)
-        for i, x in enumerate(vals)
-        if i != index0
-    )
-
-
-def delete_point(pi: Permutation, position: int) -> Permutation:
-    """Remove the point at the 1-based position and renormalize."""
-    n = len(pi.values)
-    if not 1 <= position <= n:
-        raise IndexOutOfRange(f"position {position} outside 1..{n}")
-    return Permutation._wrap(_delete_value_at(pi.values, position - 1))
-
-
-# ---------------------------------------------------------------------------
 # Sums and interleaves
 # ---------------------------------------------------------------------------
 
@@ -279,14 +235,6 @@ def interleave(a: Permutation, b: Permutation) -> Permutation:
         raise EmptyOperand("interleave requires nonempty operands")
     m = len(a.values)
     return Permutation._wrap(_swap_values(direct_sum(a, b).values, m, m + 1))
-
-
-def skew_interleave(a: Permutation, b: Permutation) -> Permutation:
-    """Skew sum with the smallest point of a and largest point of b exchanged."""
-    if not a.values or not b.values:
-        raise EmptyOperand("skew_interleave requires nonempty operands")
-    m = len(b.values)
-    return Permutation._wrap(_swap_values(skew_sum(a, b).values, m, m + 1))
 
 
 def _iterated_sum_values(vals: tuple[int, ...], r: int) -> tuple[int, ...]:
@@ -443,17 +391,6 @@ def realize_shape(s: Shape) -> Permutation:
     return oscillation(s.member)
 
 
-def oscillating_sequence_prefix(m: int) -> Permutation:
-    """Pattern of the first m terms of the sequence 4, 1, 6, 3, 8, 5, ..."""
-    if m < 1:
-        raise OperandTooShort(f"prefix length must be >= 1, got {m}")
-    seq = []
-    for pos in range(1, m + 1):
-        i = (pos + 1) // 2
-        seq.append(2 * i + 2 if pos % 2 == 1 else 2 * i - 1)
-    return standardize(seq)
-
-
 def classify_oscillation(pi: Permutation) -> Optional[Shape]:
     """The unique Shape realizing pi, or None.  1 (= W_1) realizes no Shape,
     so it gives None too; is_increasing_oscillation accepts it."""
@@ -541,16 +478,6 @@ def family_sum(alpha: Permutation) -> set[Permutation]:
     return {alpha, lifted, direct_sum(alpha, _ONE), direct_sum(lifted, _ONE)}
 
 
-def family_interleave(alpha: Permutation) -> set[Permutation]:
-    """{alpha, 1(.)alpha, alpha(.)1, 1(.)alpha(.)1} under interleave."""
-    if not alpha.values:
-        raise EmptyOperand("family_interleave requires a nonempty permutation")
-    if len(alpha.values) < 2:
-        raise OperandTooShort("family_interleave requires length > 1")
-    lifted = interleave(_ONE, alpha)
-    return {alpha, lifted, interleave(alpha, _ONE), interleave(lifted, _ONE)}
-
-
 # ---------------------------------------------------------------------------
 # Symmetries and structural predicates
 # ---------------------------------------------------------------------------
@@ -580,26 +507,3 @@ def is_identity(pi: Permutation) -> bool:
 def is_reverse_identity(pi: Permutation) -> bool:
     n = len(pi.values)
     return all(v == n + 1 - i for i, v in enumerate(pi.values, start=1))
-
-
-def is_simple(pi: Permutation) -> bool:
-    """True iff pi maps no nontrivial contiguous index interval onto a
-    contiguous value interval."""
-    vals = pi.values
-    n = len(vals)
-    if n <= 2:
-        return True
-    for start in range(n):
-        lo = hi = vals[start]
-        for end in range(start + 1, n):
-            v = vals[end]
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
-            width = end - start + 1
-            if width == n:
-                break
-            if hi - lo + 1 == width:
-                return False
-    return True

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Overflow, TooLarge
+from .errors import _INT64_GUARD, Overflow, TooLarge
 from .perms import Permutation
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
 # Every pi of length <= 12 has at most 2^12 patterns (the empty one and pi
 # included), so each is within the bound; the largest leq matrix is 16 MiB.
 MAX_DOWNSET_MEMBERS = 1 << 12
-
-_INT64_GUARD = 1 << 62
 
 
 class DownsetContext:

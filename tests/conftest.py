@@ -4,9 +4,19 @@ The series fixtures are mu by length: index n holds mu(1, W_n)."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+import permmobius
 from permmobius import MobiusEngine, principal_mu_series
+
+# Child interpreters (the CLI and import tests) import the package under test.
+_SRC = str(Path(permmobius.__file__).parents[1])
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture()

@@ -103,6 +103,30 @@ def sum_components_ref(vals: tuple[int, ...]) -> list[tuple[int, ...]]:
     return comps
 
 
+def is_simple(vals: tuple[int, ...]) -> bool:
+    """True iff no contiguous run of positions, other than a single point
+    and the whole permutation, holds a contiguous run of values."""
+    n = len(vals)
+    for start in range(n):
+        lo = hi = vals[start]
+        for end in range(start + 1, n):
+            lo, hi = min(lo, vals[end]), max(hi, vals[end])
+            width = end - start + 1
+            if width < n and hi - lo + 1 == width:
+                return False
+    return True
+
+
+def oscillating_sequence_prefix(m: int) -> tuple[int, ...]:
+    """Pattern of the first m terms of the sequence 4, 1, 6, 3, 8, 5, ...,
+    the paper's definition of the increasing oscillations."""
+    seq = []
+    for pos in range(1, m + 1):
+        i = (pos + 1) // 2
+        seq.append(2 * i + 2 if pos % 2 == 1 else 2 * i - 1)
+    return standardize_ref(tuple(seq))
+
+
 # ---------------------------------------------------------------------------
 # Oscillation recursion, one term per block count
 # ---------------------------------------------------------------------------

@@ -248,7 +248,8 @@ def test_series_loglog_rows_and_skip_counter(capsys):
 def test_series_loglog_refuses_a_format(capsys, fmt):
     rc, out, err = run_cli(capsys, ["series", "--n-max", "6", "--loglog", "--format", fmt])
     assert (rc, out) == (2, "")
-    assert err.endswith("error: --format is not read by series --loglog\n")
+    assert err.startswith("usage: permmobius series [-h] --n-max N_MAX")
+    assert err.endswith("\npermmobius: error: --format is not read by series --loglog\n")
 
 
 # sha256 of stdout; the series values and ratios are pinned to the last byte
@@ -378,7 +379,10 @@ def test_check_crosscheck_engines_match_the_oracle(capsys):
 def test_bad_permutation_is_a_usage_error(capsys):
     rc, _, err = run_cli(capsys, ["mobius", "21", "3152"])
     assert rc == 2
-    assert "error" in err
+    assert err.startswith("usage: permmobius mobius [-h] [--engine")
+    assert err.endswith(
+        "\npermmobius: error: values (3, 1, 5, 2) are not a bijection onto 1..4\n"
+    )
 
 
 def test_missing_arguments_are_a_usage_error(capsys):
@@ -452,7 +456,8 @@ def test_the_downset_cap_flag_is_a_usage_error(capsys, argv):
 def test_check_rejects_a_flag_that_checks_nothing(capsys, flags, message):
     rc, out, err = run_cli(capsys, ["check", "--suite", *flags])
     assert (rc, out) == (2, "")
-    assert err.endswith(f"error: {message}\n")
+    assert err.startswith("usage: permmobius check [-h] --suite")
+    assert err.endswith(f"\npermmobius: error: {message}\n")
 
 
 def test_engine_errors_exit_one(capsys):
@@ -483,3 +488,15 @@ def test_module_entry_point_round_trip():
     )
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def test_importing_the_package_loads_neither_the_cli_nor_argparse():
+    code = (
+        "import sys, permmobius; "
+        "print(sorted({'argparse', 'permmobius.cli'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -13,7 +13,6 @@ from permmobius import (
     Overflow,
     Permutation,
     PiClass,
-    PreconditionViolation,
     Shape,
     contains,
     fits_in_pi,
@@ -21,10 +20,8 @@ from permmobius import (
     is_sum_indecomposable,
     iterated_sum,
     max_k,
-    min_k,
     min_points,
     min_r_general,
-    min_r_osc,
     mobius_naive,
     mobius_naive_column,
     mobius_oscillation,
@@ -35,7 +32,6 @@ from permmobius import (
     raw_min_k,
     realize_shape,
     trace_oscillation,
-    weight_osc,
 )
 from permmobius import oscillation_fast
 from permmobius.oscillation_fast import clear_oscillation_memo
@@ -196,17 +192,6 @@ def test_effective_min_k_matches_matcher_derived_minimum():
                     assert effective == matcher_min, (sigma, shape_kind)
 
 
-def test_min_k_display_row_for_the_worked_example():
-    sigma = P("3142")
-    assert {kind: min_k(sigma, kind) for kind in SHAPE_KINDS} == {
-        "Single21": 1,
-        "Plain": 2,
-        "LeftCapped": 2,
-        "RightCapped": 2,
-        "BothCapped": 2,
-    }
-
-
 def test_max_k_frozen_rows():
     w9 = pi_class_of(OscillationId("W", 9))
     m8 = pi_class_of(OscillationId("M", 8))
@@ -251,8 +236,8 @@ def test_max_k_leaves_out_exactly_the_upper_bounds_own_shape():
 
 def test_min_r_osc_frozen_values():
     w9 = pi_class_of(OscillationId("W", 9))
-    assert min_r_osc("Plain", 2, w9) == 2
-    assert min_r_osc("Plain", 4, w9) == 1
+    assert oscillation_fast._rank_and_weight("Plain", 2, w9)[0] == 2
+    assert oscillation_fast._rank_and_weight("Plain", 4, w9)[0] == 1
 
 
 def test_min_r_osc_agrees_with_the_general_rank():
@@ -267,16 +252,14 @@ def test_min_r_osc_agrees_with_the_general_rank():
                     continue
                 if not contains(alpha, pi):
                     continue
-                assert min_r_osc(shape.kind, shape.k, pc) == min_r_general(
-                    alpha, pi
-                ), (shape, osc_id)
+                r = oscillation_fast._rank_and_weight(shape.kind, shape.k, pc)[0]
+                assert r == min_r_general(alpha, pi), (shape, osc_id)
 
 
 # ----------------------------------------------------------------- weights
 
 
 def test_weight_osc_reproduces_the_worked_example_column():
-    sigma = P("3142")
     w9 = pi_class_of(OscillationId("W", 9))
     expected = {
         ("Plain", 2): 1,
@@ -290,17 +273,10 @@ def test_weight_osc_reproduces_the_worked_example_column():
         ("BothCapped", 3): -1,
     }
     got = {
-        (kind, k): weight_osc(sigma, kind, k, w9) for kind, k in expected
+        (kind, k): oscillation_fast._rank_and_weight(kind, k, w9)[1]
+        for kind, k in expected
     }
     assert got == expected
-
-
-def test_weight_osc_rejects_out_of_range_block_counts():
-    w9 = pi_class_of(OscillationId("W", 9))
-    with pytest.raises(PreconditionViolation):
-        weight_osc(P("3142"), "Plain", 5, w9)
-    with pytest.raises(PreconditionViolation):
-        weight_osc(P("3142"), "Plain", 99, w9)
 
 
 # ------------------------------------------------------------------ values
