@@ -2,20 +2,23 @@
 
 ``MobiusEngine.mobius`` routes each query by one rule (``_query_route``).
 Decomposable upper bounds are reduced by the component recursions (the
-methods ``mobius_prop1`` / ``mobius_prop2`` / ``mobius_cor3``).
-Indecomposable upper bounds use the weighted contributing-set recursion
-(the method ``mobius_theorem``): mu(sigma, pi) is minus the sum of
-mu(sigma, alpha) times a {-1, 0, +1} weight over the sum-indecomposable
-alpha strictly below pi, where the weight of alpha depends on which of the
-direct-sum family members built from alpha still embed in pi.  Every alpha
-the recursion reaches lies in pi's downset, so it is solved inside pi's
-one downset context (``_Table``), with no value cache and no other route.
-A row (alpha's candidates with their ranks and weights) depends on alpha
-alone, so upper bounds share rows through one bounded store (``_RowStore``).
-One helper, ``_rank_and_weight``, computes the rank and weight for the
-table (against member indices and order bits) and for ``min_r_general`` /
-``weight_general`` (against the matcher).  Increasing-oscillation upper
-bounds are routed to the inequality-only fast path.
+methods ``mobius_prop1`` / ``mobius_prop2`` / ``mobius_cor3``).  On an
+indecomposable upper bound, ``auto`` takes the inequality-only fast path
+for an increasing oscillation and otherwise reads the oracle's column of
+pi's downset context.
+
+The ``general`` engine answers those pairs by the paper's weighted
+contributing-set recursion (the method ``mobius_theorem``): mu(sigma, pi)
+is minus the sum of mu(sigma, alpha) times a {-1, 0, +1} weight over the
+sum-indecomposable alpha strictly below pi, where the weight of alpha
+depends on which of the direct-sum family members built from alpha still
+embed in pi.  Every alpha the recursion reaches lies in pi's downset, so it
+is solved inside pi's one downset context (``_Table``), with no value cache
+and no other route.  A row (alpha's candidates with their ranks and
+weights) depends on alpha alone, so upper bounds share rows through one
+bounded store (``_RowStore``).  One helper, ``_rank_and_weight``, computes
+the rank and weight for the table (against member indices and order bits)
+and for ``min_r_general`` / ``weight_general`` (against the matcher).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -125,13 +127,6 @@ def _family_values(a: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
     return stack, left, stack + (len(stack) + 1,), left + (len(stack) + 2,)
 
 
-# The tables of different upper bounds look up the same candidates'
-# families; caching them makes the sweep of every upper bound of length
-# <= 6 about 1.7% faster (the matcher, with upper bounds of any length,
-# does not use it).
-_cached_family_values = lru_cache(maxsize=4096)(_family_values)
-
-
 def _rank_and_weight(
     family: Sequence[tuple[_K, _K, _K, _K]], below: Callable[[_K], int]
 ) -> tuple[int, int]:
@@ -190,11 +185,11 @@ _Row = tuple[list[int], tuple[int, ...], tuple[int, ...]]
 
 
 # Bound of one engine's row store, in entries (a row of k candidates is
-# k + 1 entries, about 120 bytes each, so about 8 MB in all).  The sweep of
-# every upper bound of length <= 6 fills 6,490 entries and one cold query
-# on a length-12 upper bound up to 10,085; the theorem on every pair of
-# length <= 8 would fill 1.25 million, but runs as fast under the bound,
-# since past length 7 a row is rarely read again.
+# k + 1 entries, about 120 bytes each, so about 8 MB in all).  Only the
+# general engine fills it.  The theorem on every pair of length <= 6 fills
+# 6,144 entries and one cold query on a length-12 upper bound up to 10,085;
+# on every pair of length <= 8 it would fill 1.25 million, but runs as fast
+# under the bound, since past length 7 a row is rarely read again.
 _ROW_STORE_ENTRIES = 1 << 16
 
 
@@ -335,7 +330,7 @@ def _member_family(
     absent = (len(ctx.members),) * 4
     fam = []
     for r in itertools.count(1):
-        fam.append(tuple(map(ctx.index.get, _cached_family_values(a, r), absent)))
+        fam.append(tuple(map(ctx.index.get, _family_values(a, r), absent)))
         if fam[-1][3] == absent[3]:
             break
     # A capped stack outside the downset is below no row, so no rank passes
@@ -587,14 +582,15 @@ def _query_route(
         if is_sum_indecomposable(sigma):
             return "cor3", None
         return "prop2", None
+    if engine == "auto":
+        # The theorem would build pi's context and a table on top of it;
+        # the oracle reads the same context's column.
+        pi_id = _oscillation_route(sigma, pi)
+        return ("naive", None) if pi_id is None else ("oscillation", pi_id)
     if not is_sum_indecomposable(sigma):
         return "fallback", None
     if len(pi.values) <= 3:
         return "naive", None
-    if engine == "auto":
-        pi_id = _oscillation_route(sigma, pi)
-        if pi_id is not None:
-            return "oscillation", pi_id
     return "theorem", None
 
 

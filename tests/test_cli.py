@@ -104,6 +104,7 @@ def test_mobius_general_trace_lists_the_contributing_set(capsys):
         (["mobius", "1", "1324", "--trace"], "-1"),
         (["mobius", "1", "3142", "--engine", "naive", "--trace"], "-3"),
         (["mobius", "231", "2413", "--engine", "general", "--trace"], "-1"),
+        (["mobius", "21", "369258147", "--trace"], "-6"),
     ],
 )
 def test_mobius_trace_lists_no_contributing_set_off_the_theorem_route(
@@ -371,6 +372,37 @@ def test_check_crosscheck_engines_match_the_oracle(capsys):
     payload = json.loads(out)
     assert payload["range"] == [1, 5]
     assert payload["violations"] == []
+
+
+def test_check_crosscheck_checks_the_theorem_itself(capsys, monkeypatch):
+    # auto never reaches the theorem, so only the general engine can
+    # report a wrong theorem value.
+    monkeypatch.setattr(MobiusEngine, "mobius_theorem", lambda self, s, p: 99)
+    rc, out, _ = run_cli(
+        capsys, ["check", "--suite", "crosscheck", "--max-len", "5"]
+    )
+    assert rc == 3
+    payload = json.loads(out)
+    assert payload["engines"] == ["auto", "general"]
+    rules = [v["rule"] for v in payload["violations"]]
+    assert rules
+    assert all(rule.startswith("crosscheck general sigma=") for rule in rules)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_check_banding_prints_null_for_an_empty_band(capsys):
+    rc, out, _ = run_cli(capsys, ["check", "--suite", "banding", "--range", "4..5"])
+    assert rc == 3
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["constants"] == {
+        "a": None, "b": None, "c": None, "d": None, "e": 0.75, "f": 1.0, "g": None
+    }
+    assert [v["actual"] for v in payload["deviations"]] == [
+        None, None, None, None, 0.75, 1.0, None
+    ]
 
 
 # -------------------------------------------------------------- exit codes

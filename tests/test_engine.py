@@ -309,6 +309,16 @@ def test_dispatcher_matches_oracle_on_all_pairs_to_length_6():
                 assert mobius(sigma, pi) == expected, (sigma, pi)
 
 
+def test_auto_answers_every_pair_to_length_6_without_the_theorem():
+    for n in range(1, 7):
+        for pv in all_perm_tuples(n):
+            pi = Permutation(pv)
+            for sigma, expected in mobius_naive_column(pi).items():
+                engine = MobiusEngine()
+                assert engine.mobius(sigma, pi) == expected, (sigma, pi)
+                assert engine.stats["theorem_calls"] == 0, (sigma, pi)
+
+
 def test_dispatcher_engine_selection():
     sigma, pi = ONE, P("24153")
     assert mobius(sigma, pi, engine="naive") == 6
@@ -326,7 +336,7 @@ def test_dispatcher_flags_the_uncovered_case(engine):
     # length gap beyond the covering shortcut: only the oracle applies
     sigma, pi = P("2143"), P("315264")
     before = engine.stats["naive_fallbacks"]
-    value = engine.mobius(sigma, pi)
+    value = engine.mobius(sigma, pi, engine="general")
     assert value == mobius_naive(sigma, pi)
     assert engine.stats["naive_fallbacks"] == before + 1
 
@@ -385,7 +395,7 @@ def test_oscillation_upper_bounds_past_255_points_are_answered():
 
 
 def test_every_route_that_enumerates_refuses_past_the_downset_cap(monkeypatch):
-    # pi has 154 patterns; auto takes the theorem route on it.
+    # pi has 154 patterns; general takes the theorem route on it.
     sigma, pi = TWO_ONE, P("314729586")
     poset._downset_ctx.cache_clear()
     monkeypatch.setattr(poset, "MAX_DOWNSET_MEMBERS", 153)
@@ -512,13 +522,17 @@ def test_general_solves_inside_one_context_without_cache_or_fast_path(monkeypatc
 
 
 def test_a_cold_auto_theorem_query_builds_one_context(monkeypatch):
+    # auto reads the oracle's column of pi's context; general solves the
+    # theorem inside that one context.
     pi = P("12 6 7 5 8 9 11 10 3 2 1 4")
-    poset._downset_ctx.cache_clear()
     builds = _count_calls(monkeypatch, poset.DownsetContext, "__init__")
-    engine = MobiusEngine()
-    assert engine.mobius(TWO_ONE, pi) == 0
-    assert len(builds) == 1
-    assert engine.stats["theorem_calls"] == 1
+    for name, theorem_calls in (("auto", 0), ("general", 1)):
+        poset._downset_ctx.cache_clear()
+        builds.clear()
+        engine = MobiusEngine()
+        assert engine.mobius(TWO_ONE, pi, engine=name) == 0
+        assert len(builds) == 1, name
+        assert engine.stats["theorem_calls"] == theorem_calls, name
 
 
 def test_the_route_rule_names_the_route_each_query_takes():
@@ -526,12 +540,15 @@ def test_the_route_rule_names_the_route_each_query_takes():
         ("1", "1324", "auto", "prop1"),
         ("21", "214365", "auto", "cor3"),
         ("2143", "214365", "auto", "prop2"),
-        ("2143", "315264", "auto", "fallback"),
+        ("2143", "315264", "auto", "naive"),
+        ("2143", "315264", "general", "fallback"),
         ("1", "3142", "naive", "naive"),
-        ("1", "231", "auto", "naive"),
+        ("1", "231", "auto", "oscillation"),
+        ("1", "231", "general", "naive"),
         ("3142", "315274968", "auto", "oscillation"),
         ("3142", "315274968", "general", "theorem"),
-        ("21", "369258147", "auto", "theorem"),
+        ("21", "369258147", "auto", "naive"),
+        ("21", "369258147", "general", "theorem"),
         ("21", "2413", "oscillation", "oscillation"),
         ("231", "2413", "general", "direct"),
         ("21", "4321", "general", "direct"),
