@@ -18,8 +18,10 @@ own-shape table below are built from it.
 mu(sigma, W_n / M_n) is filled, for every oscillation sigma, by one O(n log n)
 divisor scan (``_divisor_scan``): a chain member with copy cost q has a
 nonzero weight only when q divides t or t - 2, where t = 2n - b, so each
-value costs one pass over the even divisors of two numbers.  The principal
-series mu(1, W_n) = mu(1, M_n) is the sigma = 1 instance of the same scan.
+value costs one pass over the even divisors of two numbers.  Each sigma
+keeps its values as one row of two lists indexed by n, mu(sigma, W_n) and
+mu(sigma, M_n), which the scan extends in place.  The principal series
+mu(1, W_n) = mu(1, M_n) is the sigma = 1 instance of the same scan.
 
 The scan has two forms with equal values.  An extension by fewer than
 ``_BLOCK_MIN`` (512) lengths takes the per-length form, which walks a
@@ -287,14 +289,18 @@ def _require_id(p: Union[OscillationId, Permutation]) -> OscillationId:
     return id
 
 
-_memo: dict[tuple[tuple[int, ...], str, int], int] = {}
+# Each oscillation lower bound sigma's values, keyed by sigma's values:
+# row["W"][n] = mu(sigma, W_n) and row["M"][n] = mu(sigma, M_n), two lists
+# of equal length that the divisor scan extends in place.  Slots below
+# |sigma| + 2 are placeholders for the scan and never answer a query.
+_lower_rows: dict[tuple[int, ...], dict[str, list[int]]] = {}
 
 
 def clear_oscillation_memo() -> None:
-    """Drop the memo and release the even-divisor table (it is rebuilt on
-    the next scan); the principal series is kept."""
+    """Drop every lower bound's row and release the even-divisor table (it
+    is rebuilt on the next scan); the principal series is kept."""
     global _divisors
-    _memo.clear()
+    _lower_rows.clear()
     _divisors = []
 
 
@@ -307,33 +313,27 @@ def _sigma_leq_osc(sigma: OscillationId, id: OscillationId) -> bool:
     return sigma.n <= 2 or sigma.kind == id.kind
 
 
-def _fill_memo(sigma: Permutation, cls: PiClass, up_to: int) -> None:
-    """Populate the memo for both kinds at every missing length up to up_to,
-    shortest first, by one divisor scan; cls is sigma's class.
+def _fill_memo(sigma: Permutation, cls: PiClass, up_to: int) -> dict[str, list[int]]:
+    """sigma's row, extended in place for both kinds up to length up_to by
+    one divisor scan; cls is sigma's class.
 
-    The memo holds, for each sigma, both kinds at every length from
-    |sigma| + 2 up to some length, so only the lengths above the longest
-    one present are computed.
+    On Overflow both lists are cut back to their common prefix, every value
+    of which passed the guard, so the row stays of equal lengths.
     """
-    skey = sigma.values
-    slen = len(sigma.values)
-    done = up_to
-    while done > slen + 1 and (skey, "M", done) not in _memo:
-        done -= 1
-    if done == up_to:
-        return
-    # A summed member of sigma's own length contains sigma (it passes the
-    # block-count threshold), so it is sigma and its value is 1.
-    values = {
-        kind: [0] * slen
-        + [1, -1]
-        + [_memo[(skey, kind, n)] for n in range(slen + 2, done + 1)]
-        for kind in "WM"
-    }
-    _divisor_scan(values, "WM", up_to, cls)
-    for n in range(done + 1, up_to + 1):
-        for kind in "WM":
-            _memo[(skey, kind, n)] = values[kind][n]
+    row = _lower_rows.get(sigma.values)
+    if row is None:
+        # A summed member of sigma's own length contains sigma (it passes
+        # the block-count threshold), so it is sigma and its value is 1.
+        row = {kind: [0] * len(sigma) + [1, -1] for kind in "WM"}
+        _lower_rows[sigma.values] = row
+    try:
+        _divisor_scan(row, "WM", up_to, cls)
+    except Overflow:
+        exact = min(map(len, row.values()))
+        for values in row.values():
+            del values[exact:]
+        raise
+    return row
 
 
 # An extension of at least this many lengths takes the block form of the
@@ -356,9 +356,9 @@ def _divisor_scan(
     up_to: int,
     cls: Optional[PiClass],
 ) -> None:
-    """Extend values[kind] = [mu(sigma, kind_0), mu(sigma, kind_1), ...] for
-    each of the given kinds up to length up_to, where sigma is the lower
-    bound of class cls (None for sigma = 1).
+    """Extend values[kind] = [mu(sigma, kind_0), mu(sigma, kind_1), ...] in
+    place for each of the given kinds up to length up_to, where sigma is the
+    lower bound of class cls (None for sigma = 1).
 
     For a chain shape the copy cost q = 2k + c is even, and so is t = 2n - b.
     With r the least copy count with q*r > t - 4, a member's signed weight
@@ -467,7 +467,7 @@ def _scan_block(values, kinds, up_to, chains, with_21) -> None:
     solution is provably exact (_exact), otherwise again on Python ints.
     Each kind's values are stored up to the first that reaches the guard,
     which raises Overflow.  For sigma = 1 that is what the per-length form
-    stores; _fill_memo drops its two lists on Overflow.
+    stores; _fill_memo cuts sigma's two lists back to their common prefix.
     """
     lo = len(values[kinds[0]])
     hi = min(2 * lo - 1, up_to + 1)
@@ -634,10 +634,10 @@ def mobius_oscillation(
     """mu(sigma, pi) for an increasing-oscillation upper bound, computed
     purely from the containment inequalities."""
     id = _require_id(pi)
-    # Only oscillation lower bounds enter the memo, so a hit is valid.
-    value = _memo.get((sigma.values, id.kind, id.n))
-    if value is not None:
-        return value
+    # Only oscillation lower bounds have a row, so a hit is valid.
+    row = _lower_rows.get(sigma.values)
+    if row is not None and len(sigma) + 2 <= id.n < len(row[id.kind]):
+        return row[id.kind][id.n]
     sigma_id = oscillation_id(sigma)
     if sigma_id is None:
         raise NotAnOscillation(
@@ -650,8 +650,7 @@ def mobius_oscillation(
     gap = id.n - sigma_id.n
     if gap < 2:
         return -1 if gap else 1
-    _fill_memo(sigma, pi_class_of(sigma_id), id.n)
-    return _memo[(sigma.values, id.kind, id.n)]
+    return _fill_memo(sigma, pi_class_of(sigma_id), id.n)[id.kind][id.n]
 
 
 def trace_oscillation(

@@ -597,6 +597,60 @@ def test_the_overflow_guard_holds_on_both_forms(monkeypatch, n_max, guard):
     assert principal_mu_series(n_max) == want
 
 
+@pytest.mark.parametrize("block_min", [None, 1], ids=["per-length", "block"])
+def test_the_overflow_guard_cuts_a_row_back_to_its_exact_prefix(monkeypatch, block_min):
+    # mu(M_5, M_n) first reaches 1000 at n = 93, mu(M_5, W_n) at n = 96, so
+    # the W list holds values past the M list's when the guard trips: the
+    # per-length form stores W at 93 before M trips, and the block form
+    # stores W's block before M's
+    sigma = oscillation(OscillationId("M", 5))
+    n_max, guard = 300, 1000
+    want = mobius_osc_ref(sigma.values, n_max)
+    clear_oscillation_memo()
+    if block_min is not None:
+        monkeypatch.setattr(oscillation_fast, "_BLOCK_MIN", block_min)
+    monkeypatch.setattr(oscillation_fast, "_INT64_GUARD", guard)
+    with pytest.raises(Overflow):
+        mobius_oscillation(sigma, OscillationId("W", n_max))
+    row = oscillation_fast._lower_rows[sigma.values]
+    assert 7 < len(row["W"]) == len(row["M"]) <= 93
+    for kind in "WM":
+        stored = row[kind][7:]
+        assert stored == [want[kind, n] for n in range(7, len(row[kind]))]
+        assert all(abs(x) < guard for x in stored)
+    monkeypatch.undo()
+    assert _row(sigma, n_max) == [
+        want[kind, n] for n in range(7, n_max + 1) for kind in "WM"
+    ]
+    clear_oscillation_memo()
+
+
+def test_a_row_answers_only_from_two_lengths_past_its_lower_bound():
+    w5 = oscillation(OscillationId("W", 5))
+    clear_oscillation_memo()
+    mobius_oscillation(w5, OscillationId("W", 40))
+    # the row's slots 0..6 are placeholders of the scan
+    assert len(oscillation_fast._lower_rows[w5.values]["M"]) == 41
+    for n in (3, 5):
+        with pytest.raises(NotContained):
+            mobius_oscillation(w5, OscillationId("M", n))
+    assert mobius_oscillation(w5, OscillationId("W", 5)) == 1
+    assert mobius_oscillation(w5, OscillationId("W", 6)) == -1
+    assert mobius_oscillation(w5, OscillationId("M", 6)) == -1
+    # ascending queries extend the same two lists in place
+    w4 = oscillation(OscillationId("W", 4))
+    expected = mobius_osc_ref(w4.values, 100)
+    assert mobius_oscillation(w4, OscillationId("W", 6)) == expected["W", 6]
+    row = oscillation_fast._lower_rows[w4.values]
+    lists = (row["W"], row["M"])
+    for n in range(7, 101):
+        assert mobius_oscillation(w4, OscillationId("W", n)) == expected["W", n]
+    assert oscillation_fast._lower_rows[w4.values] is row
+    assert all(a is b for a, b in zip((row["W"], row["M"]), lists))
+    assert len(row["W"]) == len(row["M"]) == 101
+    clear_oscillation_memo()
+
+
 def _assert_recognized_as_the_reference(p):
     """oscillation_id, classify_oscillation and is_increasing_oscillation
     against the reference recognizer built from the interleave
