@@ -8,10 +8,12 @@ length mod 12.
 
 ``jelinek_check`` and ``banding_report`` take mu by length, the list that
 ``principal_mu_series`` returns (index n holds mu(1, W_n)), and run as numpy
-operations over the lengths of their window.  ``jelinek_window`` and
-``banding_window`` validate a window and give the lengths it reads, so a
-caller can fill exactly those.  ``SeriesRecord`` and ``principal_series``
-serve the per-length ``series`` output.
+operations over the lengths of their window.  The primality of n + 1 that
+the biconditionals read comes from one segmented sieve over the window;
+``is_prime`` is the single-value test (and the tests' reference).
+``jelinek_window`` and ``banding_window`` validate a window and give the
+lengths it reads, so a caller can fill exactly those.  ``SeriesRecord`` and
+``principal_series`` serve the per-length ``series`` output.
 """
 
 from __future__ import annotations
@@ -94,8 +96,15 @@ def _abs_window(mu: Sequence[int], lo: int, hi: int) -> np.ndarray:
             f"of the window {lo}..{hi}"
         )
     window = mu[lo : hi + 1]
-    if hi * hi < _FLOAT_EXACT and -_FLOAT_EXACT < min(window) and max(window) < _FLOAT_EXACT:
-        return np.abs(np.array(window, dtype=np.int64))
+    if hi * hi < _FLOAT_EXACT:
+        try:
+            values = np.array(window, dtype=np.int64)
+        except OverflowError:  # a value past int64
+            pass
+        else:
+            # bounded before np.abs, which leaves -2^63 negative
+            if -_FLOAT_EXACT < values.min() and values.max() < _FLOAT_EXACT:
+                return np.abs(values)
     return np.array([abs(v) for v in window], dtype=object)
 
 
@@ -158,6 +167,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _primes_in(lo: int, hi: int) -> np.ndarray:
+    """Primality of lo..hi (0 <= lo <= hi) as a bool array indexed from lo.
+
+    One segmented sieve: the primes up to isqrt(hi) come from a small sieve,
+    and each strikes its multiples from max(p^2, the first one >= lo) across
+    the window, so memory is proportional to hi - lo + 1 and to sqrt(hi).
+    """
+    root = math.isqrt(hi)
+    base = np.ones(root + 1, dtype=bool)
+    base[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if base[p]:
+            base[p * p :: p] = False
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    flags[: max(0, 2 - lo)] = False
+    for p in np.flatnonzero(base).tolist():
+        flags[max(p * p, -(-lo // p) * p) - lo :: p] = False
+    return flags
+
+
 # ---------------------------------------------------------------------------
 # Jelínek biconditionals
 # ---------------------------------------------------------------------------
@@ -188,10 +217,7 @@ def jelinek_check(n_lo: int, n_hi: int, mu: Sequence[int]) -> list[Violation]:
     m_abs = _abs_window(mu, *jelinek_window(n_lo, n_hi))
     n = np.arange(n_lo, n_hi + 1, dtype=m_abs.dtype)
     residue = n % 6
-    # Either condition needs n % 6 in {0, 4}: n + 1 is tested only there.
-    prime = np.zeros(len(n), dtype=bool)
-    for i in np.flatnonzero((residue == 0) | (residue == 4)).tolist():
-        prime[i] = is_prime(n_lo + i + 1)
+    prime = _primes_in(n_lo + 1, n_hi + 1)
     cond0 = prime & (residue == 0)
     cond4 = prime & (residue == 4)
     even, odd = m_abs[0::2], m_abs[1::2]

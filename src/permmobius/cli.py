@@ -305,7 +305,8 @@ def _cmd_check(args: argparse.Namespace) -> tuple[list[str], int]:
             violations = [
                 Violation(n, "bound-2^n", f"<= 2^{n}", abs(mu[n]))
                 for n in range(lo, hi + 1)
-                if abs(mu[n]) > (1 << n)
+                # 2^n is built only for an |mu| of at least n + 1 bits
+                if abs(mu[n]).bit_length() > n and abs(mu[n]) > (1 << n)
             ]
         else:
             # negative at even lengths, positive at odd ones

@@ -26,6 +26,7 @@ from permmobius.analysis import (
     NOMINAL_CONSTANTS,
     _abs_window,
     _normalized_ratio,
+    _primes_in,
 )
 
 P = parse_permutation
@@ -75,7 +76,16 @@ def test_array_ratios_equal_the_record_ratios_exactly(mu_20001):
     assert ratios == [SeriesRecord(k, mu_20001[k]).ratio for k in range(4, 20002)]
 
 
-@pytest.mark.parametrize("value", [2**63, -(2**63), 2**70, -(2**53)])
+@pytest.mark.parametrize("value", [2**53 - 1, -(2**53 - 1)])
+def test_windows_below_float_exactness_are_int64(value):
+    m_abs = _abs_window([0, 1, -1, 1, value, 7], 4, 5)
+    assert m_abs.dtype == np.int64
+    assert m_abs.tolist() == [abs(value), 7]
+
+
+@pytest.mark.parametrize(
+    "value", [2**63, -(2**63), 2**70, -(2**53), 2**53, 2**63 - 1]
+)
 def test_windows_past_float_exactness_hold_exact_ints(value):
     mu = [0, 1, -1, 1, value, 7]
     m_abs = _abs_window(mu, 4, 5)
@@ -134,6 +144,29 @@ def test_is_prime_matches_a_sieve_up_to_a_thousand():
                 sieve[q] = False
     for n in range(limit + 1):
         assert is_prime(n) == sieve[n], n
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0, 10**4),
+        (1_373_653 - 10**4, 1_373_653 + 10**4),
+        (25_326_001 - 10**4, 25_326_001 + 10**4),
+        # single-point windows: prime, composite, and below 2
+        (2, 2),
+        (97, 97),
+        (7919, 7919),
+        (91, 91),
+        (1_373_653, 1_373_653),
+        (25_326_001, 25_326_001),
+        (0, 0),
+        (1, 1),
+    ],
+)
+def test_window_sieve_matches_is_prime(lo, hi):
+    flags = _primes_in(lo, hi)
+    assert flags.dtype == bool
+    assert flags.tolist() == [is_prime(n) for n in range(lo, hi + 1)]
 
 
 # --------------------------------------------------------------- primality

@@ -317,6 +317,22 @@ def test_check_bound_is_clean(capsys):
     assert json.loads(out)["violations"] == []
 
 
+@pytest.mark.parametrize("value, flagged", [(2**10 + 1, True), (2**10, False)])
+def test_check_bound_flags_only_values_past_two_to_the_n(
+    capsys, monkeypatch, value, flagged
+):
+    def doctored_series(n_max):
+        mu = principal_mu_series(n_max)
+        mu[10] = value
+        return mu
+
+    monkeypatch.setattr(cli, "principal_mu_series", doctored_series)
+    rc, out, _ = run_cli(capsys, ["check", "--suite", "bound", "--n-max", "20"])
+    expected = [{"n": 10, "rule": "bound-2^n", "expected": "<= 2^10", "actual": value}]
+    assert json.loads(out)["violations"] == (expected if flagged else [])
+    assert rc == (cli.EXIT_VIOLATIONS if flagged else cli.EXIT_OK)
+
+
 @pytest.mark.parametrize("suite", ["sign", "bound"])
 def test_check_sign_and_bound_reject_n_max_zero(capsys, suite):
     rc, out, err = run_cli(capsys, ["check", "--suite", suite, "--n-max", "0"])
