@@ -22,13 +22,7 @@ from .analysis import (
     principal_series,
     Violation,
 )
-from .engine import (
-    ENGINE_NAMES,
-    MobiusCache,
-    MobiusEngine,
-    _oscillation_route,
-    _query_route,
-)
+from .engine import ENGINE_NAMES, MobiusEngine, _oscillation_route, _query_route
 from .errors import MobiusError, NotAPermutation, RangeError
 from .oscillation_fast import principal_mu_series, trace_oscillation
 from .perms import Permutation, parse_permutation
@@ -56,20 +50,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         ) from exc
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
 # The flags each check suite reads; setting another is a usage error.
 _SUITE_FLAGS = {
     "sign": ("n_max",), "bound": ("n_max",), "jelinek": ("range",),
-    "banding": ("range",), "crosscheck": ("max_len", "cache_bytes"),
+    "banding": ("range",), "crosscheck": ("max_len",),
 }
 
 
@@ -82,17 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_flags(p: argparse.ArgumentParser, cache=False) -> None:
-        """The tuning flag a subcommand reads, and --out on every one."""
-        if cache:
-            p.add_argument(
-                "--cache-bytes",
-                type=_nonnegative_int,
-                default=None,
-                help="value-cache budget in bytes (default: 256 MiB)",
-            )
-        p.add_argument("--out", type=str, default=None, help="write output to file")
-
     p_mobius = sub.add_parser("mobius", help="Möbius value of one interval")
     p_mobius.add_argument("sigma", help="lower bound (one-line notation)")
     p_mobius.add_argument("pi", help="upper bound (one-line notation)")
@@ -102,18 +75,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_mobius.add_argument(
         "--trace", action="store_true", help="print the evaluation tables first"
     )
-    add_flags(p_mobius, cache=True)
 
     p_interval = sub.add_parser("interval", help="CSV dump of a closed interval")
     p_interval.add_argument("sigma")
     p_interval.add_argument("pi")
     p_interval.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_flags(p_interval)
 
     p_downset = sub.add_parser("downset", help="all patterns of a permutation")
     p_downset.add_argument("pi")
     p_downset.add_argument("--format", choices=("csv", "json"), default="csv")
-    add_flags(p_downset)
 
     p_series = sub.add_parser("series", help="principal Möbius series")
     p_series.add_argument("--n-max", type=int, required=True)
@@ -121,17 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument(
         "--loglog", action="store_true", help="emit (ln n, ln |mu|) rows"
     )
-    add_flags(p_series)
 
     p_check = sub.add_parser("check", help="verification suites")
     p_check.add_argument("--suite", choices=_SUITE_FLAGS, required=True)
     p_check.add_argument("--n-max", type=int, default=None)
     p_check.add_argument("--range", type=_parse_range, default=None)
     p_check.add_argument("--max-len", type=int, default=None)
-    add_flags(p_check, cache=True)
 
-    # Each subcommand's own parser, for the usage line of _usage_error.
+    # --out on every subcommand, and each subcommand's own parser, for the
+    # usage line of _usage_error.
     for command in sub.choices.values():
+        command.add_argument("--out", type=str, default=None, help="write output to file")
         command.set_defaults(subparser=command)
     return parser
 
@@ -154,14 +124,10 @@ def _nan_to_null(x):
     return None if isinstance(x, float) and math.isnan(x) else x
 
 
-def _make_engine(args: argparse.Namespace) -> MobiusEngine:
-    return MobiusEngine(cache=MobiusCache(args.cache_bytes))
-
-
 def _cmd_mobius(args: argparse.Namespace) -> tuple[list[str], int]:
     sigma = parse_permutation(args.sigma)
     pi = parse_permutation(args.pi)
-    engine = _make_engine(args)
+    engine = MobiusEngine()
     lines: list[str] = []
     if args.trace:
         if _query_route(sigma, pi, args.engine)[0] == "theorem":
@@ -241,12 +207,10 @@ def _cmd_series(args: argparse.Namespace) -> tuple[list[str], int]:
     return lines, EXIT_OK
 
 
-def _crosscheck(
-    args: argparse.Namespace, max_len: int, engines: list[str]
-) -> list[Violation]:
+def _crosscheck(max_len: int, engines: list[str]) -> list[Violation]:
     from itertools import permutations as iter_permutations
 
-    engine = _make_engine(args)
+    engine = MobiusEngine()
     violations: list[Violation] = []
     for n in range(1, max_len + 1):
         for vals in iter_permutations(range(1, n + 1)):
@@ -275,7 +239,7 @@ def _flag_conflict(args: argparse.Namespace) -> Optional[str]:
         return "--format is not read by series --loglog"
     if args.command != "check":
         return None
-    for flag in ("n_max", "range", "max_len", "cache_bytes"):
+    for flag in ("n_max", "range", "max_len"):
         if getattr(args, flag) is not None and flag not in _SUITE_FLAGS[args.suite]:
             name = flag.replace("_", "-")
             return f"--{name} is not read by --suite {args.suite}"
@@ -332,7 +296,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[list[str], int]:
         # auto answers most indecomposable upper bounds from the oracle's
         # own column, so general is what checks the theorem.
         engines = ["auto", "general"]
-        violations = _crosscheck(args, hi, engines)
+        violations = _crosscheck(hi, engines)
 
     payload = {
         "range": [lo, hi],

@@ -14,16 +14,19 @@ sum-indecomposable alpha strictly below pi, where the weight of alpha
 depends on which of the direct-sum family members built from alpha still
 embed in pi.  Every alpha the recursion reaches lies in pi's downset, so it
 is solved inside pi's one downset context (``_Table``), with no value cache
-and no other route.  A row (alpha's candidates with their ranks and
-weights) depends on alpha alone, so upper bounds share rows through one
-bounded store (``_RowStore``).  One helper, ``_rank_and_weight``, computes
-the rank and weight for the table (against member indices and order bits)
-and for ``min_r_general`` / ``weight_general`` (against the matcher).
+and no other route.  The table is kept in that context's ``table`` slot, so
+it is bounded and evicted with the contexts themselves.  A row (alpha's
+candidates with their ranks and weights) depends on alpha alone, so upper
+bounds share rows through one bounded store per engine (``_RowStore``).
+One helper, ``_rank_and_weight``, computes the rank and weight for the
+table (against member indices and order bits) and for ``min_r_general`` /
+``weight_general`` (against the matcher).
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar
@@ -58,8 +61,14 @@ __all__ = [
 
 ENGINE_NAMES = ("auto", "naive", "general", "oscillation")
 
-_DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
-_ENTRY_OVERHEAD = 48
+# The value cache's budget, in bytes.
+_CACHE_BYTES = 256 * 1024 * 1024
+# sys.getsizeof of a tuple of k items is sys.getsizeof(()) + k * _ITEM_BYTES.
+_ITEM_BYTES = sys.getsizeof((0,)) - sys.getsizeof(())
+# An entry's bytes but for its points: its three tuples (the key holds two
+# items) and about 100 bytes for the dict slot, the order link and the value,
+# as tracemalloc reads them at |pi| = 12 and 40.
+_ENTRY_BYTES = 3 * sys.getsizeof(()) + 2 * _ITEM_BYTES + 100
 
 
 _Key = tuple[tuple[int, ...], tuple[int, ...]]
@@ -68,10 +77,10 @@ _K = TypeVar("_K")
 
 class MobiusCache:
     """LRU value cache keyed by (lower values, upper values), bounded in
-    bytes: an entry costs one byte per point plus a fixed overhead."""
+    bytes (_CACHE_BYTES): an entry costs the sys.getsizeof of its key tuple
+    and its two value tuples plus a fixed overhead."""
 
-    def __init__(self, max_bytes: Optional[int] = None):
-        self.max_bytes = _DEFAULT_CACHE_BYTES if max_bytes is None else max_bytes
+    def __init__(self):
         self._entries: OrderedDict[_Key, int] = OrderedDict()
         self._bytes = 0
         self.hits = 0
@@ -82,7 +91,7 @@ class MobiusCache:
 
     @staticmethod
     def _cost(key: _Key) -> int:
-        return len(key[0]) + len(key[1]) + _ENTRY_OVERHEAD
+        return _ENTRY_BYTES + _ITEM_BYTES * (len(key[0]) + len(key[1]))
 
     def get(self, key: _Key) -> Optional[int]:
         entry = self._entries.get(key)
@@ -100,7 +109,7 @@ class MobiusCache:
             return
         self._entries[key] = value
         self._bytes += self._cost(key)
-        while self._bytes > self.max_bytes and self._entries:
+        while self._bytes > _CACHE_BYTES and self._entries:
             old_key, _ = self._entries.popitem(last=False)
             self._bytes -= self._cost(old_key)
 
@@ -219,7 +228,9 @@ class _RowStore:
 
 
 class _Table:
-    """The contributing-set recursion over one upper bound's downset context.
+    """The contributing-set recursion over one upper bound's downset context,
+    kept in that context's table slot (the context is not held here, so
+    evicting it from the lru frees both).
 
     Rows are the sum-indecomposable members and the upper bound itself (the
     top); the row of member a lists (b, r, w) for each sum-indecomposable
@@ -231,11 +242,10 @@ class _Table:
     sigma.
     """
 
-    __slots__ = ("ctx", "top", "top_row", "_base", "_rowmask", "_columns")
+    __slots__ = ("top", "top_row", "_base", "_rowmask", "_columns")
 
     def __init__(self, ctx: DownsetContext, rows: _RowStore):
         members = ctx.members
-        self.ctx = ctx
         self.top = top = len(members) - 1
         # mu(sigma, a) of a row a below the top and at least two longer
         # than a sigma below it, where a closed form gives it: 0 for a chain
@@ -267,13 +277,12 @@ class _Table:
             for b, w in zip(row[0], row[2]):
                 self._columns.setdefault(b, []).append((a, w))
 
-    def solve(self, sidx: int) -> list[int]:
-        """mu(sigma, a) for sigma = member sidx (below the top) and every
-        row a above it; every other entry is 0.  Rows are visited shortest
-        first: sigma is 1, a row one longer is -1, a base row takes its
-        closed form and any other row minus the sum its shorter rows have
-        pushed into it."""
-        ctx = self.ctx
+    def solve(self, ctx: DownsetContext, sidx: int) -> list[int]:
+        """mu(sigma, a) for sigma = member sidx of ctx (below the top) and
+        every row a above it; every other entry is 0.  Rows are visited
+        shortest first: sigma is 1, a row one longer is -1, a base row takes
+        its closed form and any other row minus the sum its shorter rows
+        have pushed into it."""
         m = len(ctx.members)
         groups = ctx.groups
         slen = len(ctx.members[sidx].values)
@@ -350,39 +359,33 @@ class MobiusEngine:
     """Dispatcher over the naive oracle, the component recursions, the
     contributing-set recursion, and the oscillation fast path."""
 
-    def __init__(self, cache: Optional[MobiusCache] = None):
-        self.cache = cache if cache is not None else MobiusCache()
+    def __init__(self):
+        self.cache = MobiusCache()
         self.stats = {"naive_fallbacks": 0, "theorem_calls": 0}
-        # Contributing-set tables per upper bound, and the rows they share.
-        self._candidates: OrderedDict[tuple[int, ...], _Table] = OrderedDict()
-        self._candidates_max = 64
+        # The rows that the tables of all upper bounds share.
         self._rows = _RowStore()
 
     # -- contributing-set table ---------------------------------------------
 
-    def _candidate_list(self, pi: Permutation) -> list[int]:
-        """Build pi's table and return the candidates of pi's own row."""
-        table = _Table(_downset_ctx(pi), self._rows)
-        self._candidates[pi.values] = table
-        if len(self._candidates) > self._candidates_max:
-            self._candidates.popitem(last=False)
+    def _candidate_list(self, ctx: DownsetContext) -> list[int]:
+        """Build the table of ctx's upper bound into ctx's table slot and
+        return the candidates of the upper bound's own row."""
+        ctx.table = table = _Table(ctx, self._rows)
         return table.top_row[0]
 
-    def _table(self, pi: Permutation) -> _Table:
-        table = self._candidates.get(pi.values)
-        if table is None:
-            self._candidate_list(pi)
-            return self._candidates[pi.values]
-        self._candidates.move_to_end(pi.values)
-        return table
+    def _table(self, pi: Permutation) -> tuple[DownsetContext, _Table]:
+        """pi's downset context and pi's table, built on a miss."""
+        ctx = _downset_ctx(pi)
+        if ctx.table is None:
+            self._candidate_list(ctx)
+        return ctx, ctx.table
 
     def contributing_set(
         self, sigma: Permutation, pi: Permutation
     ) -> list[WeightedContribution]:
         """All sum-indecomposable alpha in [sigma, pi) with nonzero weight:
         pi's own row, filtered by sigma <= alpha."""
-        table = self._table(pi)
-        ctx = table.ctx
+        ctx, table = self._table(pi)
         sidx = ctx.index.get(sigma.values)
         if sidx is None:
             return []
@@ -400,9 +403,9 @@ class MobiusEngine:
         terms = self.contributing_set(sigma, pi)
         if not terms:
             return []
-        table = self._table(pi)
-        index = table.ctx.index
-        mu = table.solve(index[sigma.values])
+        ctx, table = self._table(pi)
+        index = ctx.index
+        mu = table.solve(ctx, index[sigma.values])
         return [(wc, mu[index[wc.alpha.values]]) for wc in terms]
 
     # -- component recursions ---------------------------------------------
@@ -498,9 +501,9 @@ class MobiusEngine:
         if sigma == pi:
             return 1
         self.stats["theorem_calls"] += 1
-        table = self._table(pi)
-        sidx = table.ctx.index.get(sigma.values)
-        return 0 if sidx is None else table.solve(sidx)[table.top]
+        ctx, table = self._table(pi)
+        sidx = ctx.index.get(sigma.values)
+        return 0 if sidx is None else table.solve(ctx, sidx)[table.top]
 
     # -- dispatcher ---------------------------------------------------------
 

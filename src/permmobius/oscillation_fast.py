@@ -235,16 +235,12 @@ def _lower_class(id: OscillationId) -> Optional[PiClass]:
 
 
 def _class_min_k(shape_kind: str, cls: Optional[PiClass]) -> int:
-    """_engine_min_k for a lower bound of class cls (None for sigma = 1)."""
+    """Smallest block count whose term can be nonzero in the shape sum, for
+    a lower bound of class cls (None for sigma = 1)."""
     structural = 2 if shape_kind == PLAIN else 1
     if cls is None:
         return structural
     return max(_raw_min_k_table(shape_kind, cls.kind, cls.n), structural)
-
-
-def _engine_min_k(sigma: Permutation, shape_kind: str) -> int:
-    """Smallest block count whose term can be nonzero in the shape sum."""
-    return _class_min_k(shape_kind, _lower_class(_require_id(sigma)))
 
 
 def max_k(shape_kind: str, pi: PiClass) -> int:
@@ -364,7 +360,7 @@ def _divisor_scan(
     With r the least copy count with q*r > t - 4, a member's signed weight
     is +1 when q*r lies in (t - 2, t] and -1 when it lies in (t - 4, t - 2];
     as q >= 4, that is: +1 when q divides t, -1 when q divides t - 2.  The
-    summed members are those with q >= 2 * _engine_min_k + c, except the
+    summed members are those with q >= 2 * _class_min_k(kind, cls) + c, except the
     upper bound's own member (q = t in its own shape).  The bare 21 has
     q = 3 and is resolved by (t - 4) mod 3.
 

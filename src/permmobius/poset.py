@@ -54,9 +54,13 @@ class DownsetContext:
     str.translate per value deleted from the whole level, for an upper bound
     of any length; containment is then closed bottom-up as bitmasks, and
     each key is decoded to a Permutation once.
+
+    ``table`` is the general engine's slot: it holds the contributing-set
+    table of pi that the engine builds, so the table lives and goes with
+    this context (None until then).
     """
 
-    __slots__ = ("pi", "members", "index", "leq", "groups", "_column")
+    __slots__ = ("pi", "members", "index", "leq", "groups", "_column", "table")
 
     def __init__(self, pi: Permutation):
         n = len(pi.values)
@@ -122,6 +126,7 @@ class DownsetContext:
         self.leq = leq
         self.groups = groups
         self._column = None
+        self.table = None
 
     def column(self) -> np.ndarray:
         """mu(member, pi) for every member, solved top-down by length."""

@@ -133,14 +133,6 @@ def test_mobius_general_trace_takes_its_values_from_one_solve(
     assert len(calls) == 1
 
 
-def test_mobius_accepts_tuning_flags(capsys):
-    rc, out, _ = run_cli(
-        capsys,
-        ["mobius", "21", "3142", "--cache-bytes", "4096"],
-    )
-    assert (rc, out) == (0, "3\n")
-
-
 def test_mobius_out_writes_the_file_instead_of_stdout(capsys, tmp_path):
     target = tmp_path / "value.txt"
     rc, out, _ = run_cli(capsys, ["mobius", "1", "24153", "--out", str(target)])
@@ -456,19 +448,6 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mobius", "1", "21", "--cache-bytes", "-5"],
-    ],
-    ids=["cache-bytes"],
-)
-def test_negative_tuning_flags_are_a_usage_error(capsys, argv):
-    rc, out, err = run_cli(capsys, argv)
-    assert (rc, out) == (2, "")
-    assert "must be at least 0" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
         ["mobius", "1", "21"],
         ["interval", "1", "21"],
         ["downset", "21"],
@@ -481,6 +460,22 @@ def test_the_downset_cap_flag_is_a_usage_error(capsys, argv):
         rc, out, err = run_cli(capsys, argv + ["--downset-cap", value])
         assert (rc, out) == (2, "")
         assert f"unrecognized arguments: --downset-cap {value}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mobius", "1", "21"],
+        ["check", "--suite", "crosscheck", "--max-len", "2"],
+        ["check", "--suite", "sign", "--n-max", "10"],
+    ],
+    ids=["mobius", "check-crosscheck", "check-sign"],
+)
+def test_the_cache_bytes_flag_is_a_usage_error(capsys, argv):
+    for value in ("4096", "0", "-5"):
+        rc, out, err = run_cli(capsys, argv + ["--cache-bytes", value])
+        assert (rc, out) == (2, "")
+        assert f"unrecognized arguments: --cache-bytes {value}" in err
 
 
 @pytest.mark.parametrize(
@@ -498,7 +493,6 @@ def test_the_downset_cap_flag_is_a_usage_error(capsys, argv):
         (["bound", "--max-len", "3"], "--max-len is not read by --suite bound"),
         (["jelinek", "--max-len", "3"], "--max-len is not read by --suite jelinek"),
         (["banding", "--max-len", "3"], "--max-len is not read by --suite banding"),
-        (["sign", "--cache-bytes", "0"], "--cache-bytes is not read by --suite sign"),
     ],
 )
 def test_check_rejects_a_flag_that_checks_nothing(capsys, flags, message):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
+import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -369,13 +372,36 @@ def test_cached_auto_value_does_not_answer_for_another_engine():
     assert warm.cache.get((ONE.values, P("24153").values)) is None
 
 
-def test_tiny_cache_budget_still_computes_correct_values():
-    engine = MobiusEngine(cache=MobiusCache(max_bytes=2048))
+def test_tiny_cache_budget_still_computes_correct_values(monkeypatch):
+    monkeypatch.setattr(engine_module, "_CACHE_BYTES", 2048)
+    engine = MobiusEngine()
     for n in range(4, 6):
         for pv in itertools.islice(all_perm_tuples(n), 40):
             pi = Permutation(pv)
             for sigma, expected in mobius_naive_column(pi).items():
                 assert engine.mobius(sigma, pi) == expected
+    assert 0 < engine.cache._bytes <= 2048
+
+
+def test_the_cache_budget_counts_the_bytes_its_entries_hold():
+    rng = random.Random(7)
+    cache = MobiusCache()
+    keys = []
+    for _ in range(20_000):
+        sigma, pi = list(range(1, 7)), list(range(1, 13))
+        rng.shuffle(sigma)
+        rng.shuffle(pi)
+        keys.append((tuple(sigma), tuple(pi)))
+    tracemalloc.start()
+    try:
+        for i, key in enumerate(keys):
+            cache.put(key, 1000 + i)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # the entries' own tuples, built before tracing, count too
+    held += sum(map(sys.getsizeof, itertools.chain(keys, *keys)))
+    assert 0.8 < cache._bytes / held < 1.25
 
 
 def test_direct_sum_upper_bounds_route_through_decomposition(engine):
@@ -571,17 +597,34 @@ def test_theorem_terms_carry_the_values_of_the_theorem_solve(engine):
     assert engine.theorem_terms(P("4321"), pi) == []
 
 
-def test_the_table_store_is_bounded():
+def test_no_table_keeps_a_context_past_the_context_cache():
+    # Each table lives in its context's slot and holds no context, so an
+    # engine that has run general on more upper bounds than the context
+    # cache holds keeps none of their contexts alive once it is cleared.
+    pis = [
+        pi
+        for pi in map(Permutation, all_perm_tuples(6))
+        if is_sum_indecomposable(pi) and not is_reverse_identity(pi)
+    ][:80]
     engine = MobiusEngine()
-    pis = [Permutation(pv) for pv in itertools.islice(all_perm_tuples(5), 80)]
     for pi in pis:
-        engine.contributing_set(ONE, pi)
-    assert len(engine._candidates) == 64
-    assert list(engine._candidates) == [pi.values for pi in pis[-64:]]
+        assert engine.mobius(ONE, pi, engine="general") == mobius_naive(ONE, pi)
+    poset._downset_ctx.cache_clear()
+    gc.collect()
+    built = {pi.values for pi in pis}
+    alive = [
+        obj
+        for obj in gc.get_objects()
+        if isinstance(obj, poset.DownsetContext) and obj.pi.values in built
+    ]
+    assert len(alive) == 0
+    assert engine._rows._entries > 0
 
 
 def test_a_tiny_row_store_still_computes_correct_values(monkeypatch):
     monkeypatch.setattr(engine_module, "_ROW_STORE_ENTRIES", 8)
+    # tables built by earlier tests would bypass the row store
+    poset._downset_ctx.cache_clear()
     engine = MobiusEngine()
     for n in range(4, 7):
         for pv in itertools.islice(all_perm_tuples(n), 0, None, 7):
