@@ -5,7 +5,10 @@ Decomposable upper bounds are reduced by the component recursions (the
 methods ``mobius_prop1`` / ``mobius_prop2`` / ``mobius_cor3``).  On an
 indecomposable upper bound, ``auto`` takes the inequality-only fast path
 for an increasing oscillation and otherwise reads the oracle's column of
-pi's downset context.
+pi's downset context; when that context cannot be refused, its index
+answers whether sigma is contained, so the matcher is not asked.  The
+route rule and the recursions read pi's components and cuts from one
+bounded store keyed by values (``perms.sum_decompose``).
 
 The ``general`` engine answers those pairs by the paper's weighted
 contributing-set recursion (the method ``mobius_theorem``): mu(sigma, pi)
@@ -38,7 +41,7 @@ from .oscillation_fast import mobius_oscillation
 from .perms import (
     OscillationId,
     Permutation,
-    _component_cuts,
+    SumDecomposition,
     _iterated_sum_values,
     contains,
     is_identity,
@@ -47,6 +50,7 @@ from .perms import (
     oscillation_id,
     sum_decompose,
 )
+from . import poset
 from .poset import DownsetContext, _downset_ctx, mobius_naive
 
 __all__ = [
@@ -426,12 +430,12 @@ class MobiusEngine:
         if not sigma.values:
             raise PreconditionViolation("lower bound must be nonempty")
         dec_pi = sum_decompose(pi)
-        one = Permutation._wrap((1,))
-        if len(dec_pi.components) < 2 or dec_pi.components[0] != one:
+        if len(dec_pi.cuts) < 2 or dec_pi.cuts[0] != 1:
             raise PreconditionViolation(
                 "upper bound must be decomposable with first component 1"
             )
         dec_sigma = sum_decompose(sigma)
+        one = dec_pi.components[0]
         k = self._leading_count(dec_pi.components, one)
         l = self._leading_count(dec_sigma.components, one)
         pi_tail = dec_pi.suffix(k)
@@ -447,8 +451,7 @@ class MobiusEngine:
         """Decomposable pi whose first component differs from 1: double sum
         over splits of sigma and strips of pi's leading repeated component."""
         dec_pi = sum_decompose(pi)
-        one = (1,)
-        if len(dec_pi.components) < 2 or dec_pi.components[0].values == one:
+        if len(dec_pi.cuts) < 2 or dec_pi.cuts[0] == 1:
             raise PreconditionViolation(
                 "upper bound must be decomposable with first component != 1"
             )
@@ -469,19 +472,18 @@ class MobiusEngine:
     def mobius_cor3(self, sigma: Permutation, pi: Permutation) -> int:
         """Sum-indecomposable sigma against a decomposable pi with repeated
         non-singleton head: nonzero only for head-power upper bounds."""
-        if not is_sum_indecomposable(sigma):
+        if len(sum_decompose(sigma).cuts) != 1:
             raise PreconditionViolation("lower bound must be sum-indecomposable")
         dec_pi = sum_decompose(pi)
-        comps = dec_pi.components
-        one = (1,)
-        if len(comps) < 2 or comps[0].values == one:
+        if len(dec_pi.cuts) < 2 or dec_pi.cuts[0] == 1:
             raise PreconditionViolation(
                 "upper bound must be decomposable with first component != 1"
             )
+        comps = dec_pi.components
         head = comps[0]
         if all(c == head for c in comps):
             return self.mobius(sigma, head)
-        if comps[-1].values == one and all(c == head for c in comps[:-1]):
+        if comps[-1].values == (1,) and all(c == head for c in comps[:-1]):
             return -self.mobius(sigma, head)
         return 0
 
@@ -542,23 +544,18 @@ class MobiusEngine:
         return mobius_naive(sigma, pi)
 
 
-def _direct_value(sigma: Permutation, pi: Permutation) -> Optional[int]:
-    """mu(sigma, pi) where the dispatcher needs no route (equal bounds, a
-    longer or empty lower bound, no containment, a covering pair, a chain
-    upper bound), else None."""
-    if sigma == pi:
-        return 1
-    slen = len(sigma.values)
-    plen = len(pi.values)
-    if slen > plen:
-        return 0
-    if slen == 0:
-        return -1 if plen == 1 else 0
+def _direct_value(
+    sigma: Permutation, pi: Permutation, dec: SumDecomposition
+) -> Optional[int]:
+    """mu(sigma, pi) where the dispatcher needs no route once the value
+    checks have passed (no containment, a covering pair, a chain upper
+    bound; dec is pi's decomposition), else None."""
     if not contains(sigma, pi):
         return 0
-    if plen - slen == 1:
+    plen = len(pi.values)
+    if plen - len(sigma.values) == 1:
         return -1
-    if is_identity(pi) or is_reverse_identity(pi):
+    if len(dec.cuts) == plen or (len(dec.cuts) == 1 and is_reverse_identity(pi)):
         # Containment inside a chain with a length gap >= 2.
         return 0
     return None
@@ -569,30 +566,49 @@ def _query_route(
 ) -> tuple[str, object]:
     """The route rule: the route MobiusEngine.mobius(sigma, pi, engine)
     takes when its value cache does not answer, with the route's target:
-    the value on the "direct" route (_direct_value answers), the upper
-    bound as mobius_oscillation takes it on the "oscillation" route."""
+    the value on the "direct" route, the upper bound as mobius_oscillation
+    takes it on the "oscillation" route.
+
+    After the checks on the values alone, auto sends a sum-indecomposable
+    pi that is no oscillation route and whose context cannot be refused
+    (2^|pi| patterns at most) to the oracle without the matcher: pi's
+    context index answers every sigma (0 when not contained, -1 when
+    covered).  Every other query asks the matcher first (_direct_value)."""
     if engine == "naive":
         return "naive", None
-    value = _direct_value(sigma, pi)
+    if sigma == pi:
+        return "direct", 1
+    slen = len(sigma.values)
+    plen = len(pi.values)
+    if slen >= plen:
+        return "direct", 0
+    if slen == 0:
+        return "direct", -1 if plen == 1 else 0
+    dec = sum_decompose(pi)
+    decomposable = len(dec.cuts) > 1
+    pi_id = None
+    if engine == "auto" and not decomposable:
+        pi_id = _oscillation_route(sigma, pi)
+        if pi_id is None and 1 << plen <= poset.MAX_DOWNSET_MEMBERS:
+            return "naive", None
+    value = _direct_value(sigma, pi, dec)
     if value is not None:
         return "direct", value
     if engine == "oscillation":
         return "oscillation", pi
-    cuts = _component_cuts(pi.values)
-    if len(cuts) > 1:
-        if cuts[0] == 1:
+    if decomposable:
+        if dec.cuts[0] == 1:
             return "prop1", None
-        if is_sum_indecomposable(sigma):
+        if len(sum_decompose(sigma).cuts) == 1:
             return "cor3", None
         return "prop2", None
     if engine == "auto":
         # The theorem would build pi's context and a table on top of it;
         # the oracle reads the same context's column.
-        pi_id = _oscillation_route(sigma, pi)
         return ("naive", None) if pi_id is None else ("oscillation", pi_id)
     if not is_sum_indecomposable(sigma):
         return "fallback", None
-    if len(pi.values) <= 3:
+    if plen <= 3:
         return "naive", None
     return "theorem", None
 

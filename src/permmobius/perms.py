@@ -408,48 +408,85 @@ def is_increasing_oscillation(pi: Permutation) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SumDecomposition:
-    """Maximal decomposition into sum-indecomposable components."""
+    """Maximal decomposition into sum-indecomposable components.
 
-    source: Permutation
-    components: tuple[Permutation, ...]
+    ``cuts`` are the end positions (1-based) of the components.  A prefix
+    or suffix is built when first asked for and kept while the kept ones
+    hold at most as many points as the decomposed permutation, so an entry
+    stays O(|pi|) however many are asked for.  Entries are shared through
+    the store, so they are immutable.
+    """
+
+    __slots__ = ("values", "cuts", "components", "_parts", "_room")
+
+    def __init__(self, vals: tuple[int, ...]):
+        cuts = []
+        comps = []
+        running_max = start = 0
+        for i, v in enumerate(vals, start=1):
+            if v > running_max:
+                running_max = v
+            if running_max == i:
+                cuts.append(i)
+                comps.append(
+                    _ONE
+                    if i - start == 1
+                    else Permutation._wrap(tuple([x - start for x in vals[start:i]]))
+                )
+                start = i
+        set_ = object.__setattr__
+        set_(self, "values", vals)
+        set_(self, "cuts", tuple(cuts))
+        set_(self, "components", tuple(comps))
+        set_(self, "_parts", {})  # suffix i at i, prefix i at ~i
+        set_(self, "_room", len(vals))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("SumDecomposition is immutable")
+
+    def _cut(self, i: int, name: str) -> int:
+        if not 0 <= i <= len(self.cuts):
+            raise IndexOutOfRange(f"{name} index {i} outside 0..{len(self.cuts)}")
+        return self.cuts[i - 1] if i else 0
+
+    def _keep(self, key: int, part: Permutation) -> Permutation:
+        if len(part.values) <= self._room:
+            object.__setattr__(self, "_room", self._room - len(part.values))
+            self._parts[key] = part
+        return part
 
     def prefix(self, i: int) -> Permutation:
         """Direct sum of the first i components (i = 0 gives the empty one)."""
-        if not 0 <= i <= len(self.components):
-            raise IndexOutOfRange(f"prefix index {i} outside 0..{len(self.components)}")
-        cut = sum(len(c.values) for c in self.components[:i])
-        return Permutation._wrap(self.source.values[:cut])
+        part = self._parts.get(~i)
+        if part is None:
+            cut = self._cut(i, "prefix")
+            part = self._keep(~i, Permutation._wrap(self.values[:cut]))
+        return part
 
     def suffix(self, i: int) -> Permutation:
         """Direct sum of the components after the first i."""
-        if not 0 <= i <= len(self.components):
-            raise IndexOutOfRange(f"suffix index {i} outside 0..{len(self.components)}")
-        cut = sum(len(c.values) for c in self.components[:i])
-        return Permutation._wrap(tuple(v - cut for v in self.source.values[cut:]))
+        part = self._parts.get(i)
+        if part is None:
+            cut = self._cut(i, "suffix")
+            tail = self.values[cut:]
+            part = self._keep(i, Permutation._wrap(tuple([v - cut for v in tail])))
+        return part
 
 
-def _component_cuts(vals: tuple[int, ...]) -> list[int]:
-    """End positions (1-based) of sum components."""
-    cuts = []
-    running_max = 0
-    for i, v in enumerate(vals, start=1):
-        if v > running_max:
-            running_max = v
-        if running_max == i:
-            cuts.append(i)
-    return cuts
+# Bound of the decomposition store, in entries.
+_DECOMPOSITIONS = 1 << 12
+
+
+@lru_cache(maxsize=_DECOMPOSITIONS)
+def _decomposition(vals: tuple[int, ...]) -> SumDecomposition:
+    return SumDecomposition(vals)
 
 
 def sum_decompose(pi: Permutation) -> SumDecomposition:
-    vals = pi.values
-    comps: list[Permutation] = []
-    start = 0
-    for cut in _component_cuts(vals):
-        comps.append(Permutation._wrap(tuple(v - start for v in vals[start:cut])))
-        start = cut
-    return SumDecomposition(pi, tuple(comps))
+    """pi's decomposition, from the one bounded store keyed by values that
+    the dispatcher and the component recursions read."""
+    return _decomposition(pi.values)
 
 
 def is_sum_indecomposable(pi: Permutation) -> bool:

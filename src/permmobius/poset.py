@@ -276,5 +276,4 @@ def mobius_naive(sigma: Permutation, pi: Permutation) -> int:
 def mobius_naive_column(pi: Permutation) -> dict[Permutation, int]:
     """mu(sigma, pi) for every sigma contained in pi, in one solve."""
     ctx = _downset_ctx(pi)
-    col = ctx.column()
-    return {p: int(col[i]) for i, p in enumerate(ctx.members)}
+    return dict(zip(ctx.members, ctx.column().tolist()))

@@ -486,10 +486,18 @@ def test_long_oscillation_in_oscillation_reaches_the_fast_path():
     )
 
 
+def _patch_every_binding(monkeypatch, original, replacement) -> None:
+    """Replace every binding of original in the package's modules."""
+    for name, module in list(sys.modules.items()):
+        if name == "permmobius" or name.startswith("permmobius."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def _count_classifications(monkeypatch) -> list:
     """Replace every binding of oscillation_id, the one oscillation
-    classifier, in the package's modules by a wrapper that records its
-    arguments."""
+    classifier, by a wrapper that records its arguments."""
     original = perms.oscillation_id
     calls: list = []
 
@@ -497,11 +505,7 @@ def _count_classifications(monkeypatch) -> list:
         calls.append(p)
         return original(p)
 
-    for name, module in list(sys.modules.items()):
-        if name == "permmobius" or name.startswith("permmobius."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    _patch_every_binding(monkeypatch, original, counted)
     return calls
 
 
@@ -574,6 +578,8 @@ def test_the_route_rule_names_the_route_each_query_takes():
         ("3142", "315274968", "auto", "oscillation"),
         ("3142", "315274968", "general", "theorem"),
         ("21", "369258147", "auto", "naive"),
+        ("4321", "369258147", "auto", "naive"),
+        ("36258147", "369258147", "auto", "naive"),
         ("21", "369258147", "general", "theorem"),
         ("21", "2413", "oscillation", "oscillation"),
         ("231", "2413", "general", "direct"),
@@ -586,6 +592,45 @@ def test_the_route_rule_names_the_route_each_query_takes():
             pi,
             name,
         )
+
+
+def test_auto_answers_a_short_indecomposable_upper_bound_without_the_matcher(
+    monkeypatch,
+):
+    # pi is sum-indecomposable and no oscillation, so its context answers
+    # every sigma: contained or not, covering or not.
+    pi = P("4617253")
+    members = [p for group in downset(pi).values() for p in group]
+    outside = [P("654321"), P("123456"), P("4321")]
+    assert not any(contains(sigma, pi) for sigma in outside)
+    expected = [mobius_naive(sigma, pi) for sigma in members + outside]
+    original = perms.contains
+    calls: list = []
+
+    def counted(sigma, pi):
+        calls.append((sigma, pi))
+        return original(sigma, pi)
+
+    _patch_every_binding(monkeypatch, original, counted)
+    engine = MobiusEngine()
+    assert [engine.mobius(sigma, pi) for sigma in members + outside] == expected
+    assert calls == []
+
+
+def test_long_upper_bounds_ask_the_matcher_before_any_context():
+    # Neither upper bound's context can be built (over 4096 patterns).
+    chain = Permutation(range(5000, 0, -1))
+    assert MobiusEngine().mobius(ONE, chain) == 0
+    vals = list(range(1, 31))
+    random.Random(30).shuffle(vals)
+    pi = Permutation(vals)
+    # a chain one longer than pi's longest decreasing subsequence
+    longest = [1] * len(vals)
+    for j, v in enumerate(vals):
+        longest[j] += max((longest[i] for i in range(j) if vals[i] > v), default=0)
+    sigma = Permutation(range(max(longest) + 1, 0, -1))
+    assert not contains(sigma, pi)
+    assert MobiusEngine().mobius(sigma, pi) == 0
 
 
 def test_theorem_terms_carry_the_values_of_the_theorem_solve(engine):

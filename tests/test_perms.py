@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permmobius import (
     EMPTY,
+    MobiusEngine,
     EmptyOperand,
     InvalidShape,
     NotAPermutation,
@@ -34,6 +40,7 @@ from permmobius import (
     skew_sum,
     sum_decompose,
 )
+from permmobius import perms
 
 from helpers import (
     all_perm_tuples,
@@ -177,6 +184,57 @@ def test_sum_decompose_matches_prefix_maximum_reference(vals):
     comps = [c.values for c in sum_decompose(Permutation(vals)).components]
     assert comps == sum_components_ref(vals)
     assert is_sum_indecomposable(Permutation(vals)) == (len(comps) == 1)
+
+
+def _sum_ref(comps: list[tuple[int, ...]]) -> tuple[int, ...]:
+    out: list[int] = []
+    for comp in comps:
+        shift = len(out)
+        out += [v + shift for v in comp]
+    return tuple(out)
+
+
+def test_every_prefix_and_suffix_matches_a_plain_reference():
+    for n in range(8):
+        for vals in all_perm_tuples(n):
+            dec = sum_decompose(Permutation(vals))
+            comps = sum_components_ref(vals)
+            assert [c.values for c in dec.components] == comps
+            for _ in range(2):  # built, then read back from the entry or rebuilt
+                for i in range(len(comps) + 1):
+                    assert dec.prefix(i).values == _sum_ref(comps[:i])
+                    assert dec.suffix(i).values == _sum_ref(comps[i:])
+
+
+def test_the_decomposition_store_is_bounded_and_empty_at_import():
+    code = (
+        "import permmobius; from permmobius import perms; "
+        "info = perms._decomposition.cache_info(); print(info.maxsize, info.currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{perms._DECOMPOSITIONS} 0\n"
+    assert 0 < perms._DECOMPOSITIONS < 2**20
+
+
+@pytest.mark.parametrize("sigma", ["1", "12"])
+def test_a_long_near_identity_upper_bound_is_decomposed_in_linear_space(sigma):
+    # id_20000 + 21 has 20,001 components; no suffix is built that is not asked for.
+    pi = Permutation(tuple(range(1, 20001)) + (20002, 20001))
+    perms._decomposition.cache_clear()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        value = MobiusEngine().mobius(parse_permutation(sigma), pi)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 0
+    assert elapsed < 1.0
+    assert peak < 50 * 2**20
 
 
 def test_identity_and_reverse_identity_predicates():
