@@ -1,23 +1,29 @@
 """General Möbius computation and the engine dispatcher.
 
-``MobiusEngine.mobius`` routes each query by one rule (``_query_route``).
+``MobiusEngine.mobius(sigma, pi, engine)`` routes each query by one rule
+(``_query_route``), and every route and sub-query of that query runs on
+the engine it names; the value cache keeps each value under its engine.
 Decomposable upper bounds are reduced by the component recursions (the
 methods ``mobius_prop1`` / ``mobius_prop2`` / ``mobius_cor3``).  On an
 indecomposable upper bound, ``auto`` takes the inequality-only fast path
 for an increasing oscillation and otherwise reads the oracle's column of
 pi's downset context; when that context cannot be refused, its index
-answers whether sigma is contained, so the matcher is not asked.  The
-route rule and the recursions read pi's components and cuts from one
+answers whether sigma is contained, so the matcher is not asked.  Past
+that, one complement rule covers the skew half: complement keeps mu and
+turns skew sums into direct sums, so a skew-decomposable pi (and, under
+``general``, a sum-decomposable sigma) is answered as mu(sigma^c, pi^c).
+The route rule and the recursions read pi's components and cuts from one
 bounded store keyed by values (``perms.sum_decompose``).
 
-The ``general`` engine answers those pairs by the paper's weighted
-contributing-set recursion (the method ``mobius_theorem``): mu(sigma, pi)
-is minus the sum of mu(sigma, alpha) times a {-1, 0, +1} weight over the
-sum-indecomposable alpha strictly below pi, where the weight of alpha
-depends on which of the direct-sum family members built from alpha still
-embed in pi.  Every alpha the recursion reaches lies in pi's downset, so it
-is solved inside pi's one downset context (``_Table``), with no value cache
-and no other route.  The table is kept in that context's ``table`` slot, so
+The ``general`` engine answers a sum-indecomposable sigma below a sum- and
+skew-indecomposable pi by the paper's weighted contributing-set recursion
+(the method ``mobius_theorem``): mu(sigma, pi) is minus the sum of
+mu(sigma, alpha) times a {-1, 0, +1} weight over the sum-indecomposable
+alpha strictly below pi, where the weight of alpha depends on which of
+the direct-sum family members built from alpha still embed in pi.  Every
+alpha the recursion reaches lies in pi's downset, so it is solved inside
+pi's one downset context (``_Table``), with no value cache and no other
+route.  The table is kept in that context's ``table`` slot, so
 it is bounded and evicted with the contexts themselves.  A row (alpha's
 candidates with their ranks and weights) depends on alpha alone, so upper
 bounds share rows through one bounded store per engine (``_RowStore``).
@@ -43,6 +49,7 @@ from .perms import (
     Permutation,
     SumDecomposition,
     _iterated_sum_values,
+    complement,
     contains,
     is_identity,
     is_reverse_identity,
@@ -69,20 +76,20 @@ ENGINE_NAMES = ("auto", "naive", "general", "oscillation")
 _CACHE_BYTES = 256 * 1024 * 1024
 # sys.getsizeof of a tuple of k items is sys.getsizeof(()) + k * _ITEM_BYTES.
 _ITEM_BYTES = sys.getsizeof((0,)) - sys.getsizeof(())
-# An entry's bytes but for its points: its three tuples (the key holds two
-# items) and about 100 bytes for the dict slot, the order link and the value,
-# as tracemalloc reads them at |pi| = 12 and 40.
-_ENTRY_BYTES = 3 * sys.getsizeof(()) + 2 * _ITEM_BYTES + 100
+# An entry's bytes but for its points: its three tuples (the key holds three
+# items; the engine name is shared) and about 100 bytes for the dict slot,
+# the order link and the value, as tracemalloc reads them at |pi| = 12 and 40.
+_ENTRY_BYTES = 3 * sys.getsizeof(()) + 3 * _ITEM_BYTES + 100
 
 
-_Key = tuple[tuple[int, ...], tuple[int, ...]]
+_Key = tuple[tuple[int, ...], tuple[int, ...], str]
 _K = TypeVar("_K")
 
 
 class MobiusCache:
-    """LRU value cache keyed by (lower values, upper values), bounded in
-    bytes (_CACHE_BYTES): an entry costs the sys.getsizeof of its key tuple
-    and its two value tuples plus a fixed overhead."""
+    """LRU value cache keyed by (lower values, upper values, engine name),
+    bounded in bytes (_CACHE_BYTES): an entry costs the sys.getsizeof of its
+    key tuple and its two value tuples plus a fixed overhead."""
 
     def __init__(self):
         self._entries: OrderedDict[_Key, int] = OrderedDict()
@@ -365,7 +372,7 @@ class MobiusEngine:
 
     def __init__(self):
         self.cache = MobiusCache()
-        self.stats = {"naive_fallbacks": 0, "theorem_calls": 0}
+        self.stats = {"theorem_calls": 0}
         # The rows that the tables of all upper bounds share.
         self._rows = _RowStore()
 
@@ -424,7 +431,9 @@ class MobiusEngine:
                 break
         return count
 
-    def mobius_prop1(self, sigma: Permutation, pi: Permutation) -> int:
+    def mobius_prop1(
+        self, sigma: Permutation, pi: Permutation, engine: str = "auto"
+    ) -> int:
         """Decomposable pi whose first component is 1: reduce by stripping
         the leading singleton run against sigma's leading singleton run."""
         if not sigma.values:
@@ -442,12 +451,14 @@ class MobiusEngine:
         if k - 1 > l:
             return 0
         if k - 1 == l:
-            return -self.mobius(dec_sigma.suffix(k - 1), pi_tail)
-        return self.mobius(dec_sigma.suffix(k), pi_tail) - self.mobius(
-            dec_sigma.suffix(k - 1), pi_tail
+            return -self.mobius(dec_sigma.suffix(k - 1), pi_tail, engine)
+        return self.mobius(dec_sigma.suffix(k), pi_tail, engine) - self.mobius(
+            dec_sigma.suffix(k - 1), pi_tail, engine
         )
 
-    def mobius_prop2(self, sigma: Permutation, pi: Permutation) -> int:
+    def mobius_prop2(
+        self, sigma: Permutation, pi: Permutation, engine: str = "auto"
+    ) -> int:
         """Decomposable pi whose first component differs from 1: double sum
         over splits of sigma and strips of pi's leading repeated component."""
         dec_pi = sum_decompose(pi)
@@ -461,15 +472,17 @@ class MobiusEngine:
         m = len(dec_sigma.components)
         total = 0
         for i in range(1, m + 1):
-            left = self.mobius(dec_sigma.prefix(i), head)
+            left = self.mobius(dec_sigma.prefix(i), head, engine)
             if left == 0:
                 continue
             right_sigma = dec_sigma.suffix(i)
             for j in range(1, k + 1):
-                total += left * self.mobius(right_sigma, dec_pi.suffix(j))
+                total += left * self.mobius(right_sigma, dec_pi.suffix(j), engine)
         return total
 
-    def mobius_cor3(self, sigma: Permutation, pi: Permutation) -> int:
+    def mobius_cor3(
+        self, sigma: Permutation, pi: Permutation, engine: str = "auto"
+    ) -> int:
         """Sum-indecomposable sigma against a decomposable pi with repeated
         non-singleton head: nonzero only for head-power upper bounds."""
         if len(sum_decompose(sigma).cuts) != 1:
@@ -482,9 +495,9 @@ class MobiusEngine:
         comps = dec_pi.components
         head = comps[0]
         if all(c == head for c in comps):
-            return self.mobius(sigma, head)
+            return self.mobius(sigma, head, engine)
         if comps[-1].values == (1,) and all(c == head for c in comps[:-1]):
-            return -self.mobius(sigma, head)
+            return -self.mobius(sigma, head, engine)
         return 0
 
     # -- contributing-set recursion ----------------------------------------
@@ -510,37 +523,37 @@ class MobiusEngine:
     # -- dispatcher ---------------------------------------------------------
 
     def mobius(self, sigma: Permutation, pi: Permutation, engine: str = "auto") -> int:
+        """mu(sigma, pi) on the named engine: every route and every
+        sub-query of this query runs on it, and its values are cached under
+        its own name."""
         if engine not in ENGINE_NAMES:
             raise PreconditionViolation(f"unknown engine {engine!r}")
-        # Only auto values are cached: an explicit engine must compute (or
-        # refuse) on its own, never answer with another route's value.
-        use_cache = engine == "auto"
-        if use_cache:
-            key = (sigma.values, pi.values)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
+        key = (sigma.values, pi.values, engine)
+        cached = self.cache.get(key)
+        if cached is not None:
+            return cached
         route, target = _query_route(sigma, pi, engine)
         if route == "direct":
             return target
-        value = self._route(sigma, pi, route, target)
-        if use_cache:
-            self.cache.put(key, value)
+        value = self._route(sigma, pi, engine, route, target)
+        self.cache.put(key, value)
         return value
 
-    def _route(self, sigma: Permutation, pi: Permutation, route: str, target) -> int:
+    def _route(
+        self, sigma: Permutation, pi: Permutation, engine: str, route: str, target
+    ) -> int:
         if route == "oscillation":
             return mobius_oscillation(sigma, target)
+        if route == "complement":
+            return self.mobius(complement(sigma), target, engine)
         if route == "prop1":
-            return self.mobius_prop1(sigma, pi)
+            return self.mobius_prop1(sigma, pi, engine)
         if route == "cor3":
-            return self.mobius_cor3(sigma, pi)
+            return self.mobius_cor3(sigma, pi, engine)
         if route == "prop2":
-            return self.mobius_prop2(sigma, pi)
+            return self.mobius_prop2(sigma, pi, engine)
         if route == "theorem":
             return self.mobius_theorem(sigma, pi)
-        if route == "fallback":
-            self.stats["naive_fallbacks"] += 1
         return mobius_naive(sigma, pi)
 
 
@@ -548,14 +561,14 @@ def _direct_value(
     sigma: Permutation, pi: Permutation, dec: SumDecomposition
 ) -> Optional[int]:
     """mu(sigma, pi) where the dispatcher needs no route once the value
-    checks have passed (no containment, a covering pair, a chain upper
+    checks have passed (no containment, a covering pair, an identity upper
     bound; dec is pi's decomposition), else None."""
     if not contains(sigma, pi):
         return 0
     plen = len(pi.values)
     if plen - len(sigma.values) == 1:
         return -1
-    if len(dec.cuts) == plen or (len(dec.cuts) == 1 and is_reverse_identity(pi)):
+    if len(dec.cuts) == plen:
         # Containment inside a chain with a length gap >= 2.
         return 0
     return None
@@ -567,13 +580,20 @@ def _query_route(
     """The route rule: the route MobiusEngine.mobius(sigma, pi, engine)
     takes when its value cache does not answer, with the route's target:
     the value on the "direct" route, the upper bound as mobius_oscillation
-    takes it on the "oscillation" route.
+    takes it on the "oscillation" route, and pi's complement on the
+    "complement" route.
 
     After the checks on the values alone, auto sends a sum-indecomposable
     pi that is no oscillation route and whose context cannot be refused
     (2^|pi| patterns at most) to the oracle without the matcher: pi's
     context index answers every sigma (0 when not contained, -1 when
-    covered).  Every other query asks the matcher first (_direct_value)."""
+    covered).  On any other sum-indecomposable pi that is no oscillation
+    route, auto and general take the complement rule: complement keeps mu
+    and swaps sum and skew sums, so a skew-decomposable pi (and, under
+    general, a sum-decomposable sigma) is answered as mu(sigma^c, pi^c) on
+    the same engine.  pi^c is then sum-decomposable, or both pi^c and
+    sigma^c are sum-indecomposable, so the rule is not taken twice.  Every
+    other query asks the matcher first (_direct_value)."""
     if engine == "naive":
         return "naive", None
     if sigma == pi:
@@ -587,10 +607,17 @@ def _query_route(
     dec = sum_decompose(pi)
     decomposable = len(dec.cuts) > 1
     pi_id = None
-    if engine == "auto" and not decomposable:
-        pi_id = _oscillation_route(sigma, pi)
-        if pi_id is None and 1 << plen <= poset.MAX_DOWNSET_MEMBERS:
-            return "naive", None
+    if not decomposable and engine != "oscillation":
+        if engine == "auto":
+            pi_id = _oscillation_route(sigma, pi)
+            if pi_id is None and 1 << plen <= poset.MAX_DOWNSET_MEMBERS:
+                return "naive", None
+        if pi_id is None:
+            pi_c = complement(pi)
+            if len(sum_decompose(pi_c).cuts) > 1 or (
+                engine == "general" and len(sum_decompose(sigma).cuts) > 1
+            ):
+                return "complement", pi_c
     value = _direct_value(sigma, pi, dec)
     if value is not None:
         return "direct", value
@@ -606,10 +633,6 @@ def _query_route(
         # The theorem would build pi's context and a table on top of it;
         # the oracle reads the same context's column.
         return ("naive", None) if pi_id is None else ("oscillation", pi_id)
-    if not is_sum_indecomposable(sigma):
-        return "fallback", None
-    if plen <= 3:
-        return "naive", None
     return "theorem", None
 
 

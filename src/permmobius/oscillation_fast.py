@@ -340,7 +340,10 @@ def _fill_memo(sigma: Permutation, cls: PiClass, up_to: int) -> dict[str, list[i
 # 0.9 / 2.5 / 4.9 / 46 ms against 0.8 / 1.2 / 1.7 / 6.4 ms.  The forms are
 # within 1.5 ms of each other up to 301 lengths, so one-length memo fills
 # and a cold mu(1, W_301) keep the per-length form; from 512 on the block
-# form is 2.5-10 times faster.
+# form is 2.5-10 times faster.  A short extension far past the divisor table
+# takes the block form too: one length after a fill to 400,000 takes 0.56 s
+# and 117 MB on the per-length form, which builds the table to 400,006
+# lists, and 0.02 s with no new table on the block form.
 _BLOCK_MIN = 512
 
 _OVERFLOW = "oscillation Möbius value exceeds the 64-bit guard"
@@ -366,18 +369,21 @@ def _divisor_scan(
 
     The scan has two forms with equal values.  An extension of fewer than
     _BLOCK_MIN lengths takes the per-length form (_scan_lengths), which
-    walks the even-divisor lists of t and t - 2 for one length at a time.
-    A longer one takes the block form (_scan_block) past a per-length head
-    of the first few lengths, where not every near term is summed yet: it
-    splits the terms into far ones (q < v, so q <= v / 2, reading only
-    lengths below the block) and near ones (q = v), so that a block of
-    lengths [L, 2L - 1) takes all its far terms by numpy slice sums and
-    solves the near terms, a fixed linear recurrence (_NEAR_OWN,
-    _NEAR_CROSS), by numpy prefix sums.
+    walks the even-divisor lists of t and t - 2 for one length at a time,
+    as long as the shared table of those lists need at most double to
+    reach them.  Any other extension takes the block form (_scan_block)
+    past a per-length head of the first few lengths, where not every near
+    term is summed yet: it splits the terms into far ones (q < v, so
+    q <= v / 2, reading only lengths below the block) and near ones
+    (q = v), so that a block of lengths [L, 2L - 1) takes all its far terms
+    by numpy slice sums and solves the near terms, a fixed linear
+    recurrence (_NEAR_OWN, _NEAR_CROSS), by numpy prefix sums.
     """
     chains = _chains(values, cls)
     with_21 = _class_min_k(SINGLE21, cls) <= 1
-    if up_to + 1 - len(values[kinds[0]]) < _BLOCK_MIN:
+    if up_to + 1 - len(values[kinds[0]]) < _BLOCK_MIN and up_to + 4 < 2 * max(
+        len(_divisors), _BLOCK_MIN
+    ):
         _scan_lengths(values, kinds, up_to, chains, with_21)
         return
     # Every near term is summed from this length on: the chain term of copy

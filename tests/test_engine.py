@@ -6,6 +6,7 @@ import gc
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -20,6 +21,7 @@ from permmobius import (
     Permutation,
     PreconditionViolation,
     TooLarge,
+    complement,
     contains,
     direct_sum,
     downset,
@@ -334,14 +336,15 @@ def test_dispatcher_engine_selection():
         MobiusEngine().mobius(ONE, P("2143"), engine="oscillation")
 
 
-def test_dispatcher_flags_the_uncovered_case(engine):
-    # decomposable lower bound under an indecomposable upper bound with a
-    # length gap beyond the covering shortcut: only the oracle applies
+def test_dispatcher_flags_the_uncovered_case(monkeypatch, engine):
+    # a sum-decomposable lower bound under a sum-indecomposable upper bound
+    # with a length gap beyond the covering shortcut: general answers it by
+    # the complement rule, not by the oracle
     sigma, pi = P("2143"), P("315264")
-    before = engine.stats["naive_fallbacks"]
-    value = engine.mobius(sigma, pi, engine="general")
-    assert value == mobius_naive(sigma, pi)
-    assert engine.stats["naive_fallbacks"] == before + 1
+    expected = mobius_naive(sigma, pi)
+    naive = _count_every_binding(monkeypatch, poset.mobius_naive)
+    assert engine.mobius(sigma, pi, engine="general") == expected
+    assert naive == []
 
 
 def test_engine_results_do_not_depend_on_cache_state():
@@ -358,7 +361,7 @@ def test_engine_results_do_not_depend_on_cache_state():
         assert MobiusEngine().mobius(sigma, pi) == first
 
 
-def test_cached_auto_value_does_not_answer_for_another_engine():
+def test_cached_auto_value_does_not_answer_for_another_engine(monkeypatch):
     sigma, pi = P("21"), P("369258147")
     with pytest.raises(NotAnOscillation):
         MobiusEngine().mobius(sigma, pi, engine="oscillation")
@@ -366,10 +369,14 @@ def test_cached_auto_value_does_not_answer_for_another_engine():
     assert warm.mobius(sigma, pi) == -6
     with pytest.raises(NotAnOscillation):
         warm.mobius(sigma, pi, engine="oscillation")
+    # the explicit query reads no auto-keyed entry and keeps its own value
+    # under its own engine
+    auto_key = (sigma.values, pi.values, "auto")
+    assert warm.cache.get(auto_key) == -6
+    gets = _count_calls(monkeypatch, MobiusCache, "get")
     assert warm.mobius(sigma, pi, engine="general") == -6
-    # an explicit engine's own value is not cached either
-    warm.mobius(ONE, P("24153"), engine="general")
-    assert warm.cache.get((ONE.values, P("24153").values)) is None
+    assert gets and all(key[2] == "general" for _, key in gets)
+    assert warm.cache.get((sigma.values, pi.values, "general")) == -6
 
 
 def test_tiny_cache_budget_still_computes_correct_values(monkeypatch):
@@ -391,7 +398,7 @@ def test_the_cache_budget_counts_the_bytes_its_entries_hold():
         sigma, pi = list(range(1, 7)), list(range(1, 13))
         rng.shuffle(sigma)
         rng.shuffle(pi)
-        keys.append((tuple(sigma), tuple(pi)))
+        keys.append((tuple(sigma), tuple(pi), "general"))
     tracemalloc.start()
     try:
         for i, key in enumerate(keys):
@@ -399,8 +406,10 @@ def test_the_cache_budget_counts_the_bytes_its_entries_hold():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    # the entries' own tuples, built before tracing, count too
-    held += sum(map(sys.getsizeof, itertools.chain(keys, *keys)))
+    # the entries' own tuples, built before tracing, count too (the engine
+    # name is one shared string)
+    tuples = itertools.chain(keys, *(key[:2] for key in keys))
+    held += sum(map(sys.getsizeof, tuples))
     assert 0.8 < cache._bytes / held < 1.25
 
 
@@ -495,15 +504,14 @@ def _patch_every_binding(monkeypatch, original, replacement) -> None:
                     monkeypatch.setattr(module, attr, replacement)
 
 
-def _count_classifications(monkeypatch) -> list:
-    """Replace every binding of oscillation_id, the one oscillation
-    classifier, by a wrapper that records its arguments."""
-    original = perms.oscillation_id
+def _count_every_binding(monkeypatch, original) -> list:
+    """Replace every binding of original in the package's modules by a
+    wrapper that records each call's arguments."""
     calls: list = []
 
-    def counted(p):
-        calls.append(p)
-        return original(p)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
     _patch_every_binding(monkeypatch, original, counted)
     return calls
@@ -512,15 +520,16 @@ def _count_classifications(monkeypatch) -> list:
 def test_an_auto_oscillation_query_classifies_each_bound_once(monkeypatch):
     sigma, w9 = P("3142"), OscillationId("W", 9)
     expected = mobius_oscillation(sigma, w9)  # warms the memo
-    calls = _count_classifications(monkeypatch)
+    # oscillation_id is the one oscillation classifier
+    calls = _count_every_binding(monkeypatch, perms.oscillation_id)
     assert MobiusEngine().mobius(sigma, oscillation(w9)) == expected
-    assert calls == [oscillation(w9), sigma]
+    assert calls == [(oscillation(w9),), (sigma,)]
 
 
 def test_a_memo_hit_classifies_nothing(monkeypatch):
     sigma, w9 = P("3142"), OscillationId("W", 9)
     expected = mobius_oscillation(sigma, w9)
-    calls = _count_classifications(monkeypatch)
+    calls = _count_every_binding(monkeypatch, perms.oscillation_id)
     # only validated lower bounds are stored, so the hit needs no check
     assert mobius_oscillation(sigma, w9) == expected
     assert calls == []
@@ -548,19 +557,27 @@ def test_general_solves_inside_one_context_without_cache_or_fast_path(monkeypatc
     puts = _count_calls(monkeypatch, MobiusCache, "put")
     fast = _count_calls(monkeypatch, engine_module, "mobius_oscillation")
     assert MobiusEngine().mobius(sigma, w9, engine="general") == expected
-    assert (len(builds), len(fast), len(gets), len(puts)) == (1, 0, 0, 0)
+    assert (len(builds), len(fast)) == (1, 0)
+    assert gets and puts
+    assert {key[2] for _, key, *_ in gets + puts} == {"general"}
 
 
 def test_a_cold_auto_theorem_query_builds_one_context(monkeypatch):
     # auto reads the oracle's column of pi's context; general solves the
-    # theorem inside that one context.
-    pi = P("12 6 7 5 8 9 11 10 3 2 1 4")
+    # theorem inside that one context when pi is both sum- and
+    # skew-indecomposable.  A pi that starts with its maximum is a skew
+    # sum, so general answers it by the complement rule.
+    skew = P("12 6 7 5 8 9 11 10 3 2 1 4")
+    assert engine_module._query_route(TWO_ONE, skew, "general")[0] == "complement"
+    assert MobiusEngine().mobius(TWO_ONE, skew, engine="general") == 0
+    pi = P("9 4 11 5 7 2 3 12 1 10 6 8")
+    assert is_sum_indecomposable(pi) and is_sum_indecomposable(complement(pi))
     builds = _count_calls(monkeypatch, poset.DownsetContext, "__init__")
     for name, theorem_calls in (("auto", 0), ("general", 1)):
         poset._downset_ctx.cache_clear()
         builds.clear()
         engine = MobiusEngine()
-        assert engine.mobius(TWO_ONE, pi, engine=name) == 0
+        assert engine.mobius(TWO_ONE, pi, engine=name) == 10
         assert len(builds) == 1, name
         assert engine.stats["theorem_calls"] == theorem_calls, name
 
@@ -571,10 +588,10 @@ def test_the_route_rule_names_the_route_each_query_takes():
         ("21", "214365", "auto", "cor3"),
         ("2143", "214365", "auto", "prop2"),
         ("2143", "315264", "auto", "naive"),
-        ("2143", "315264", "general", "fallback"),
+        ("2143", "315264", "general", "complement"),
         ("1", "3142", "naive", "naive"),
         ("1", "231", "auto", "oscillation"),
-        ("1", "231", "general", "naive"),
+        ("1", "231", "general", "complement"),
         ("3142", "315274968", "auto", "oscillation"),
         ("3142", "315274968", "general", "theorem"),
         ("21", "369258147", "auto", "naive"),
@@ -583,7 +600,9 @@ def test_the_route_rule_names_the_route_each_query_takes():
         ("21", "369258147", "general", "theorem"),
         ("21", "2413", "oscillation", "oscillation"),
         ("231", "2413", "general", "direct"),
-        ("21", "4321", "general", "direct"),
+        ("21", "4321", "general", "complement"),
+        ("21", "13 12 11 10 9 8 7 6 5 4 3 2 1", "auto", "complement"),
+        ("21", "4321", "auto", "naive"),
         ("3142", "3142", "general", "direct"),
     ]
     for sigma, pi, name, route in cases:
@@ -604,14 +623,7 @@ def test_auto_answers_a_short_indecomposable_upper_bound_without_the_matcher(
     outside = [P("654321"), P("123456"), P("4321")]
     assert not any(contains(sigma, pi) for sigma in outside)
     expected = [mobius_naive(sigma, pi) for sigma in members + outside]
-    original = perms.contains
-    calls: list = []
-
-    def counted(sigma, pi):
-        calls.append((sigma, pi))
-        return original(sigma, pi)
-
-    _patch_every_binding(monkeypatch, original, counted)
+    calls = _count_every_binding(monkeypatch, perms.contains)
     engine = MobiusEngine()
     assert [engine.mobius(sigma, pi) for sigma in members + outside] == expected
     assert calls == []
@@ -680,3 +692,82 @@ def test_a_tiny_row_store_still_computes_correct_values(monkeypatch):
                 if is_sum_indecomposable(sigma) and sigma != pi:
                     assert engine.mobius_theorem(sigma, pi) == expected, (sigma, pi)
     assert engine._rows._entries <= 8
+
+
+def test_general_answers_every_pair_to_length_6_by_its_own_routes(monkeypatch):
+    # no route of general reads the oracle, the fast path or an auto value
+    columns = [
+        (pi, mobius_naive_column(pi))
+        for n in range(1, 7)
+        for pi in map(Permutation, all_perm_tuples(n))
+    ]
+    assert sum(len(column) for _, column in columns) == 16912
+    naive = _count_every_binding(monkeypatch, poset.mobius_naive)
+    fast = _count_every_binding(monkeypatch, mobius_oscillation)
+    engine = MobiusEngine()
+    for pi, column in columns:
+        for sigma, expected in column.items():
+            assert engine.mobius(sigma, pi, engine="general") == expected, (sigma, pi)
+    assert (naive, fast) == ([], [])
+    assert {key[2] for key in engine.cache._entries} == {"general"}
+
+
+def test_general_caches_its_own_values_on_deep_sums():
+    # each component sub-query is answered once: uncached, general takes
+    # seconds on this pair
+    sigma, pi = iterated_sum(TWO_ONE, 8), iterated_sum(P("2413"), 24)
+    start = time.perf_counter()
+    value = MobiusEngine().mobius(sigma, pi, engine="general")
+    assert time.perf_counter() - start < 1.0
+    assert value == MobiusEngine().mobius(sigma, pi) != 0
+
+
+def _separable(n: int, rng: random.Random) -> Permutation:
+    """A random separable permutation of length n: a tree of direct and
+    skew sums over single points."""
+    if n == 1:
+        return ONE
+    k = rng.randint(1, n - 1)
+    join = direct_sum if rng.random() < 0.5 else skew_sum
+    return join(_separable(k, rng), _separable(n - k, rng))
+
+
+def _without_points(pi: Permutation, g: int, rng: random.Random) -> Permutation:
+    """The pattern of pi left by deleting g random points."""
+    keep = sorted(rng.sample(range(len(pi)), len(pi) - g))
+    vals = [pi.values[i] for i in keep]
+    rank = {v: r for r, v in enumerate(sorted(vals), start=1)}
+    return Permutation(rank[v] for v in vals)
+
+
+def test_separable_upper_bounds_equal_the_oracle_on_both_engines():
+    rng = random.Random(7)
+    for n in (9, 10, 11):
+        for _ in range(2):
+            pi = _separable(n, rng)
+            for name in ("auto", "general"):
+                engine = MobiusEngine()
+                for sigma, expected in mobius_naive_column(pi).items():
+                    assert engine.mobius(sigma, pi, engine=name) == expected, (
+                        sigma,
+                        pi,
+                        name,
+                    )
+
+
+def test_long_skew_sums_are_answered_by_the_complement_rule():
+    # past the member bound, where the oracle refuses every one of them
+    rng = random.Random(7)
+    pairs = []
+    for n in (16, 24, 32, 48, 64, 96):
+        for g in (2, 4, 6):
+            pi = _separable(n, rng)
+            pairs.append((_without_points(pi, g, rng), pi))
+    w15 = _w(15)
+    pairs.append((ONE, skew_sum(w15, w15)))
+    for sigma, pi in pairs:
+        values = [
+            MobiusEngine().mobius(sigma, pi, engine=name) for name in ("auto", "general")
+        ]
+        assert values[0] == values[1], (sigma, pi)
+    assert values == [43, 43]

@@ -576,6 +576,17 @@ def test_the_block_form_builds_no_divisor_table_past_its_head(monkeypatch):
     assert len(oscillation_fast._divisors) <= 16
 
 
+def test_one_more_length_past_a_long_fill_builds_no_divisor_table(monkeypatch):
+    monkeypatch.setattr(oscillation_fast, "_divisors", [])
+    monkeypatch.setattr(oscillation_fast, "_principal", [0, 1, -1, 1])
+    principal_mu_series(100_000)
+    extended = principal_mu_series(100_001)
+    # the per-length form would build the table past 100,000 for one length
+    assert len(oscillation_fast._divisors) <= 2 * oscillation_fast._BLOCK_MIN + 8
+    monkeypatch.setattr(oscillation_fast, "_principal", [0, 1, -1, 1])
+    assert extended == principal_mu_series(100_001)
+
+
 @pytest.mark.parametrize(
     "n_max, guard", [(300, 10**4), (20000, 10**7)], ids=["per-length", "block"]
 )
