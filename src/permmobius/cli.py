@@ -25,7 +25,7 @@ from .analysis import (
 from .engine import ENGINE_NAMES, MobiusEngine, _oscillation_route, _query_route
 from .errors import MobiusError, NotAPermutation, RangeError
 from .oscillation_fast import principal_mu_series, trace_oscillation
-from .perms import Permutation, parse_permutation
+from .perms import Permutation, complement, parse_permutation
 from .poset import downset, interval, mobius_naive_column
 
 __all__ = ["main", "build_parser"]
@@ -130,17 +130,25 @@ def _cmd_mobius(args: argparse.Namespace) -> tuple[list[str], int]:
     engine = MobiusEngine()
     lines: list[str] = []
     if args.trace:
-        if _query_route(sigma, pi, args.engine)[0] == "theorem":
-            for wc, mu_sa in engine.theorem_terms(sigma, pi):
+        lower, upper = sigma, pi
+        route, target = _query_route(lower, upper, args.engine)
+        if route == "complement":
+            # The rule is taken at most once, so one hop reaches the route
+            # that answers the query.
+            lower, upper = complement(lower), target
+            lines.append(f"complement sigma={lower} pi={upper}")
+            route = _query_route(lower, upper, args.engine)[0]
+        if route == "theorem":
+            for wc, mu_sa in engine.theorem_terms(lower, upper):
                 lines.append(
                     f"alpha={wc.alpha} r={wc.r} weight={wc.weight} mu={mu_sa}"
                 )
         elif args.engine == "oscillation" or (
-            args.engine == "auto" and _oscillation_route(sigma, pi) is not None
+            args.engine == "auto" and _oscillation_route(lower, upper) is not None
         ):
             # The fast path's tables, printed also for a pair that the
             # dispatcher answers directly (a covering pair, sigma = pi).
-            lines.extend(trace_oscillation(sigma, pi))
+            lines.extend(trace_oscillation(lower, upper))
     lines.append(str(engine.mobius(sigma, pi, engine=args.engine)))
     return lines, EXIT_OK
 

@@ -11,7 +11,8 @@ pi's downset context; when that context cannot be refused, its index
 answers whether sigma is contained, so the matcher is not asked.  Past
 that, one complement rule covers the skew half: complement keeps mu and
 turns skew sums into direct sums, so a skew-decomposable pi (and, under
-``general``, a sum-decomposable sigma) is answered as mu(sigma^c, pi^c).
+``general``, a sum-decomposable sigma; under ``auto``, a pair whose
+complement is an oscillation route) is answered as mu(sigma^c, pi^c).
 The route rule and the recursions read pi's components and cuts from one
 bounded store keyed by values (``perms.sum_decompose``).
 
@@ -23,13 +24,13 @@ alpha strictly below pi, where the weight of alpha depends on which of
 the direct-sum family members built from alpha still embed in pi.  Every
 alpha the recursion reaches lies in pi's downset, so it is solved inside
 pi's one downset context (``_Table``), with no value cache and no other
-route.  The table is kept in that context's ``table`` slot, so
-it is bounded and evicted with the contexts themselves.  A row (alpha's
-candidates with their ranks and weights) depends on alpha alone, so upper
-bounds share rows through one bounded store per engine (``_RowStore``).
-One helper, ``_rank_and_weight``, computes the rank and weight for the
-table (against member indices and order bits) and for ``min_r_general`` /
-``weight_general`` (against the matcher).
+route.  The table is built by one gather over the context's order bits
+and kept in the context's ``table`` slot, so it is bounded and evicted
+with the contexts themselves.  One walker, ``_family``, looks up a
+candidate's capped-tower family, and one helper, ``_ranks_and_weights``,
+turns the family's bits into ranks and weights, for the table (bits from
+the order matrix) and for ``min_r_general`` / ``weight_general`` (bits
+from the matcher).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import itertools
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, TypeVar
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .perms import (
     OscillationId,
     Permutation,
     SumDecomposition,
+    _family_values,
     _iterated_sum_values,
     complement,
     contains,
@@ -139,44 +141,54 @@ class WeightedContribution:
 # ---------------------------------------------------------------------------
 
 
-def _family_values(a: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
-    """Values of the direct-sum family of r copies of alpha (values a):
-    S_r, 1 + S_r, S_r + 1 and 1 + S_r + 1."""
-    stack = _iterated_sum_values(a, r)
-    left = (1, *map((1).__add__, stack))
-    return stack, left, stack + (len(stack) + 1,), left + (len(stack) + 2,)
+def _family(
+    values: tuple[int, ...], look: Callable[[tuple[int, ...], _K], _K], absent: _K
+) -> list[tuple[_K, ...]]:
+    """The capped-tower family of the pattern with these values, each
+    member looked up once: entry r - 1 holds look(member, absent) of S_r,
+    1 + S_r, S_r + 1 and 1 + S_r + 1 (perms._family_values), for r = 1,
+    2, ... up to the first r whose capped stack looks up as absent, then
+    one entry more that holds S_(r+1) and three absent."""
+    fam = []
+    absents = (absent,) * 4
+    for r in itertools.count(1):
+        fam.append(tuple(map(look, _family_values(values, r), absents)))
+        if fam[-1][3] == absent:
+            break
+    fam.append((look(_iterated_sum_values(values, r + 1), absent), *absents[1:]))
+    return fam
 
 
-def _rank_and_weight(
-    family: Sequence[tuple[_K, _K, _K, _K]], below: Callable[[_K], int]
-) -> tuple[int, int]:
-    """Minimal copy count r of alpha and its weight below an upper bound.
+def _ranks_and_weights(below: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal copy count r and weight w of candidates below an upper bound.
 
-    family[r - 1] is alpha's direct-sum family for r copies (as
-    _family_values orders it, in any key), and below(member) is 1 when a
-    member lies strictly below the upper bound, else 0.  r is the least
-    r >= 1 whose capped stack 1 + S_r + 1 is not below; the weight counts,
-    by inclusion-exclusion, which of S_r, 1 + S_r, S_r + 1 and S_(r+1) are
-    below.  family must go on one entry past that r."""
-    r = 0
-    while below(family[r][3]):
-        r += 1
-    stack, left, right, _ = family[r]
-    return r + 1, below(stack) - below(left) - below(right) + below(family[r + 1][0])
+    below[..., j, k] is 1 when member k of the candidate's family for
+    j + 1 copies (as _family orders it) lies strictly below the upper
+    bound; each family goes on one entry past its r.  The capped stacks are
+    nested, so the ones below come first: r is 1 plus their count, the
+    least r >= 1 whose capped stack 1 + S_r + 1 is not below.  The weight
+    counts, by inclusion-exclusion, which of S_r, 1 + S_r, S_r + 1 and
+    S_(r+1) are below, as the sum of each entry's terms times a one-hot
+    pick of j = r - 1."""
+    ranks = 1 + below[..., 3].sum(axis=-1)
+    pick = np.arange(below.shape[-2] - 1) == ranks[..., None] - 1
+    stack, left, right = below[..., :-1, 0], below[..., :-1, 1], below[..., :-1, 2]
+    terms = stack - left - right + below[..., 1:, 0]
+    return ranks, (pick * terms).sum(axis=-1)
 
 
 def _rank_and_weight_in(alpha: Permutation, pi: Permutation) -> tuple[int, int]:
-    """_rank_and_weight of alpha below pi, decided by the matcher."""
+    """_ranks_and_weights of alpha below pi, decided by the matcher."""
     a = alpha.values
     if not a:
         raise EmptyOperand("alpha must be nonempty")
     n = len(pi.values)
-    # The capped stack of r copies has r * |alpha| + 2 points, so it is not
-    # below pi once r > n // |alpha|: the family ends one entry past that.
-    return _rank_and_weight(
-        [_family_values(a, r) for r in range(1, n // len(a) + 3)],
-        lambda vals: len(vals) < n and contains(Permutation._wrap(vals), pi),
-    )
+
+    def below(vals: tuple[int, ...], _absent: int) -> int:
+        return int(len(vals) < n and contains(Permutation._wrap(vals), pi))
+
+    r, w = _ranks_and_weights(np.array(_family(a, below, 0), dtype=np.int8))
+    return int(r), int(w)
 
 
 def min_r_general(alpha: Permutation, pi: Permutation) -> int:
@@ -200,42 +212,11 @@ def weight_general(sigma: Permutation, alpha: Permutation, pi: Permutation) -> i
 # ---------------------------------------------------------------------------
 
 
-# A row as parallel sequences: candidates b, ranks r and weights w.
-_Row = tuple[list[int], tuple[int, ...], tuple[int, ...]]
-
-
-# Bound of one engine's row store, in entries (a row of k candidates is
-# k + 1 entries, about 120 bytes each, so about 8 MB in all).  Only the
-# general engine fills it.  The theorem on every pair of length <= 6 fills
-# 6,144 entries and one cold query on a length-12 upper bound up to 10,085;
-# on every pair of length <= 8 it would fill 1.25 million, but runs as fast
-# under the bound, since past length 7 a row is rarely read again.
-_ROW_STORE_ENTRIES = 1 << 16
-
-
-class _RowStore:
-    """Rows by alpha's values, with each candidate b given by its values:
-    a row depends on alpha alone (its candidates lie below alpha and their
-    weights are tested against alpha's own downset), so every upper bound
-    whose downset holds alpha reads the same row.  Least recently used
-    rows go first once the rows hold more than _ROW_STORE_ENTRIES entries."""
-
-    def __init__(self):
-        self._rows: OrderedDict[tuple[int, ...], tuple] = OrderedDict()
-        self._entries = 0
-
-    def get(self, key: tuple[int, ...]) -> Optional[tuple]:
-        row = self._rows.get(key)
-        if row is not None:
-            self._rows.move_to_end(key)
-        return row
-
-    def put(self, key: tuple[int, ...], row: tuple) -> None:
-        self._rows[key] = row
-        self._entries += len(row[0]) + 1
-        while self._entries > _ROW_STORE_ENTRIES:
-            _, old = self._rows.popitem(last=False)
-            self._entries -= len(old[0]) + 1
+# The table build gathers a block of rows at a time, as many as keep the
+# block's family bits under this bound were every candidate below every row.
+# A gathered bit costs about ten bytes of temporaries (its member index and
+# the bit), so a block stays under about 10 MiB however large the context.
+_GATHER_BITS = 1 << 20
 
 
 class _Table:
@@ -245,17 +226,19 @@ class _Table:
 
     Rows are the sum-indecomposable members and the upper bound itself (the
     top); the row of member a lists (b, r, w) for each sum-indecomposable
-    member b strictly below a with nonzero weight w toward a.  Each row
-    comes from the row store or is computed in this context (_context_row).
-    The top's row is kept as it is; a solve reads all rows by column,
-    (a, w) for each row a that lists b, so that it pushes each known
-    mu(sigma, b) up to the rows above b and touches only the entries above
-    sigma.
+    member b strictly below a with nonzero weight w toward a.  The build
+    looks up each candidate b's family once, as member indices (a member
+    outside the downset takes the top's, which is strictly below no
+    member), and gathers the strict order bits of each (a, b) pair with b
+    below a, a block of rows at a time, for one _ranks_and_weights.  The
+    top's row is kept as it is; a solve reads all rows by column, (a, w)
+    for each row a that lists b, so that it pushes each known mu(sigma, b)
+    up to the rows above b and touches only the entries above sigma.
     """
 
     __slots__ = ("top", "top_row", "_base", "_rowmask", "_columns")
 
-    def __init__(self, ctx: DownsetContext, rows: _RowStore):
+    def __init__(self, ctx: DownsetContext):
         members = ctx.members
         self.top = top = len(members) - 1
         # mu(sigma, a) of a row a below the top and at least two longer
@@ -271,22 +254,33 @@ class _Table:
         rowmask = np.array([is_sum_indecomposable(p) for p in members], dtype=np.int8)
         rowmask[top] = 1
         self._rowmask = rowmask
-        self._columns: dict[int, list[tuple[int, int]]] = {}
-        families: dict[int, list[tuple[int, ...]]] = {}
-        for a in np.flatnonzero(rowmask).tolist():
-            if a in base:
-                continue  # a base row's sum is never read
-            key = members[a].values
-            stored = rows.get(key)
-            if stored is None:
-                row = _context_row(ctx, a, rowmask, families)
-                rows.put(key, (tuple(members[b].values for b in row[0]), *row[1:]))
-            else:
-                row = (list(map(ctx.index.__getitem__, stored[0])), *stored[1:])
-            if a == top:
-                self.top_row = row
-            for b, w in zip(row[0], row[2]):
-                self._columns.setdefault(b, []).append((a, w))
+        cands = np.flatnonzero(rowmask[:top])
+        fams = [_family(members[b].values, ctx.index.get, top) for b in cands.tolist()]
+        width = max(map(len, fams), default=2)
+        pad = [(top,) * 4] * width
+        fam = np.array([f + pad[len(f) :] for f in fams], dtype=np.intp)
+        fam = fam.reshape(-1, width, 4)
+        # a base row's sum is never read
+        rows = np.array([a for a in np.flatnonzero(rowmask).tolist() if a not in base])
+        step = max(1, _GATHER_BITS // (4 * width * max(len(cands), 1)))
+        self._columns = columns = {}
+        for lo in range(0, len(rows), step):
+            block = rows[lo : lo + step]
+            strict = ctx.leq[block]
+            strict[np.arange(len(block)), block] = 0
+            ia, ib = np.nonzero(strict[:, cands])
+            ranks, weights = _ranks_and_weights(strict[ia[:, None, None], fam[ib]])
+            keep = np.flatnonzero(weights)
+            a_s, b_s = block[ia[keep]], cands[ib[keep]]
+            for a, b, w in zip(a_s.tolist(), b_s.tolist(), weights[keep].tolist()):
+                columns.setdefault(b, []).append((a, w))
+        # The top is the last row, so the last block holds its pairs.
+        mine = a_s == top
+        self.top_row = (
+            b_s[mine].tolist(),
+            tuple(ranks[keep[mine]].tolist()),
+            tuple(weights[keep[mine]].tolist()),
+        )
 
     def solve(self, ctx: DownsetContext, sidx: int) -> list[int]:
         """mu(sigma, a) for sigma = member sidx of ctx (below the top) and
@@ -316,51 +310,6 @@ class _Table:
         return mu
 
 
-def _context_row(
-    ctx: DownsetContext,
-    a: int,
-    rowmask: np.ndarray,
-    families: dict[int, list[tuple[int, ...]]],
-) -> _Row:
-    """Member a's row, b ascending, computed in ctx: the candidates are the
-    rows (rowmask) strictly below a, and each candidate's family is looked
-    up once per context (families)."""
-    lo = ctx.groups[len(ctx.members[a].values)][1]
-    # below[i] is 1 exactly when member i is strictly below member a:
-    # shorter than a and contained in it.  Index len(members), a family
-    # member outside the downset, is never below.
-    below = ctx.leq[a, :lo].tobytes().ljust(len(ctx.members) + 1, b"\0")
-    bs, rs, ws = [], [], []
-    for b in np.flatnonzero(ctx.leq[a, :lo] & rowmask[:lo]).tolist():
-        fam = families.get(b) or _member_family(ctx, b, families)
-        r, w = _rank_and_weight(fam, below.__getitem__)
-        if w:
-            bs.append(b)
-            rs.append(r)
-            ws.append(w)
-    return bs, tuple(rs), tuple(ws)
-
-
-def _member_family(
-    ctx: DownsetContext, b: int, families: dict[int, list[tuple[int, ...]]]
-) -> list[tuple[int, ...]]:
-    """Member indices of b's family for r = 1, 2, ... (stored in
-    families); a member outside the downset gets index len(members)."""
-    a = ctx.members[b].values
-    absent = (len(ctx.members),) * 4
-    fam = []
-    for r in itertools.count(1):
-        fam.append(tuple(map(ctx.index.get, _family_values(a, r), absent)))
-        if fam[-1][3] == absent[3]:
-            break
-    # A capped stack outside the downset is below no row, so no rank passes
-    # this r; the weight reads only the next entry's stack.
-    stack = _iterated_sum_values(a, r + 1)
-    fam.append((ctx.index.get(stack, absent[0]),) + absent[1:])
-    families[b] = fam
-    return fam
-
-
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
@@ -373,15 +322,13 @@ class MobiusEngine:
     def __init__(self):
         self.cache = MobiusCache()
         self.stats = {"theorem_calls": 0}
-        # The rows that the tables of all upper bounds share.
-        self._rows = _RowStore()
 
     # -- contributing-set table ---------------------------------------------
 
     def _candidate_list(self, ctx: DownsetContext) -> list[int]:
         """Build the table of ctx's upper bound into ctx's table slot and
         return the candidates of the upper bound's own row."""
-        ctx.table = table = _Table(ctx, self._rows)
+        ctx.table = table = _Table(ctx)
         return table.top_row[0]
 
     def _table(self, pi: Permutation) -> tuple[DownsetContext, _Table]:
@@ -590,10 +537,12 @@ def _query_route(
     covered).  On any other sum-indecomposable pi that is no oscillation
     route, auto and general take the complement rule: complement keeps mu
     and swaps sum and skew sums, so a skew-decomposable pi (and, under
-    general, a sum-decomposable sigma) is answered as mu(sigma^c, pi^c) on
-    the same engine.  pi^c is then sum-decomposable, or both pi^c and
-    sigma^c are sum-indecomposable, so the rule is not taken twice.  Every
-    other query asks the matcher first (_direct_value)."""
+    general, a sum-decomposable sigma; under auto, a pair whose complement
+    is an oscillation route, such as 1 below the reverse of W_n) is
+    answered as mu(sigma^c, pi^c) on the same engine.  pi^c is then
+    sum-decomposable, or an oscillation route, or both pi^c and sigma^c
+    are sum-indecomposable, so the rule is not taken twice.  Every other
+    query asks the matcher first (_direct_value)."""
     if engine == "naive":
         return "naive", None
     if sigma == pi:
@@ -614,8 +563,13 @@ def _query_route(
                 return "naive", None
         if pi_id is None:
             pi_c = complement(pi)
-            if len(sum_decompose(pi_c).cuts) > 1 or (
-                engine == "general" and len(sum_decompose(sigma).cuts) > 1
+            if (
+                len(sum_decompose(pi_c).cuts) > 1
+                or (engine == "general" and len(sum_decompose(sigma).cuts) > 1)
+                or (
+                    engine == "auto"
+                    and _oscillation_route(complement(sigma), pi_c) is not None
+                )
             ):
                 return "complement", pi_c
     value = _direct_value(sigma, pi, dec)

@@ -243,6 +243,14 @@ def _iterated_sum_values(vals: tuple[int, ...], r: int) -> tuple[int, ...]:
     return tuple([v + shift for shift in range(0, r * block, block) for v in vals])
 
 
+def _family_values(vals: tuple[int, ...], r: int) -> tuple[tuple[int, ...], ...]:
+    """Values of the direct-sum family of r copies of the pattern with
+    values vals: S_r, 1 + S_r, S_r + 1 and 1 + S_r + 1."""
+    stack = _iterated_sum_values(vals, r)
+    left = (1, *map((1).__add__, stack))
+    return stack, left, stack + (len(stack) + 1,), left + (len(stack) + 2,)
+
+
 def iterated_sum(alpha: Permutation, r: int) -> Permutation:
     """Direct sum of r copies of alpha."""
     if r < 1:
@@ -511,8 +519,7 @@ def family_sum(alpha: Permutation) -> set[Permutation]:
     """{alpha, 1+alpha, alpha+1, 1+alpha+1} under direct sum."""
     if not alpha.values:
         raise EmptyOperand("family_sum requires a nonempty permutation")
-    lifted = direct_sum(_ONE, alpha)
-    return {alpha, lifted, direct_sum(alpha, _ONE), direct_sum(lifted, _ONE)}
+    return set(map(Permutation._wrap, _family_values(alpha.values, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -112,6 +113,30 @@ def test_mobius_trace_lists_no_contributing_set_off_the_theorem_route(
 ):
     rc, out, _ = run_cli(capsys, argv)
     assert (rc, out) == (0, value + "\n")
+
+
+def test_mobius_trace_follows_the_complement_hop(capsys):
+    # general answers a sum-decomposable sigma as mu(sigma^c, pi^c), which
+    # its theorem route then solves
+    rc, out, _ = run_cli(
+        capsys, ["mobius", "2143", "315264", "--engine", "general", "--trace"]
+    )
+    lines = out.splitlines()
+    assert (rc, lines) == (
+        0,
+        [
+            "complement sigma=3 4 1 2 pi=4 6 2 5 1 3",
+            "alpha=3 4 1 2 r=1 weight=1 mu=1",
+            "alpha=3 5 1 4 2 r=1 weight=1 mu=-1",
+            "alpha=3 5 4 1 2 r=1 weight=1 mu=-1",
+            "alpha=4 2 5 1 3 r=1 weight=1 mu=-1",
+            "alpha=4 5 2 1 3 r=1 weight=1 mu=-1",
+            "3",
+        ],
+    )
+    # the value is minus the weighted sum of the rows' mu(sigma^c, alpha)
+    terms = [re.search(r"weight=(-?\d+) mu=(-?\d+)$", line) for line in lines[1:-1]]
+    assert -sum(int(t[1]) * int(t[2]) for t in terms) == int(lines[-1])
 
 
 def test_mobius_general_trace_takes_its_values_from_one_solve(

@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from permmobius import (
@@ -487,6 +488,27 @@ def test_upper_bounds_within_the_member_bound_are_answered(sigma, pi, expected):
     ] == [expected] * 3
 
 
+def test_symmetric_images_of_long_oscillations_reach_the_fast_path():
+    # reverse and complement of W_n / M_n are sum- and skew-indecomposable,
+    # so only the complement of the pair is an oscillation route; the
+    # oracle would refuse each of these upper bounds
+    for n, expected in ((30, -177), (40, -360), (300, -22500)):
+        for kind in ("W", "M"):
+            pi = oscillation(OscillationId(kind, n))
+            for image in (
+                perms.reverse(pi),
+                complement(pi),
+                perms.inverse(pi),
+                complement(perms.reverse(pi)),
+            ):
+                assert MobiusEngine().mobius(ONE, image) == expected, (kind, n)
+    w5, m20 = _w(5), oscillation(OscillationId("M", 20))
+    assert MobiusEngine().mobius(perms.reverse(w5), perms.reverse(m20)) == -36
+    assert MobiusEngine().mobius(w5, m20) == -36
+    with pytest.raises(TooLarge):
+        poset.DownsetContext(perms.reverse(_w(30)))
+
+
 def test_long_oscillation_in_oscillation_reaches_the_fast_path():
     w1200, w1300 = OscillationId("W", 1200), OscillationId("W", 1300)
     sigma = oscillation(w1200)
@@ -675,12 +697,20 @@ def test_no_table_keeps_a_context_past_the_context_cache():
         if isinstance(obj, poset.DownsetContext) and obj.pi.values in built
     ]
     assert len(alive) == 0
-    assert engine._rows._entries > 0
 
 
-def test_a_tiny_row_store_still_computes_correct_values(monkeypatch):
-    monkeypatch.setattr(engine_module, "_ROW_STORE_ENTRIES", 8)
-    # tables built by earlier tests would bypass the row store
+def test_a_general_query_leaves_only_the_cache_and_stats_on_the_engine():
+    # the tables live in the contexts; the engine keeps no store of rows
+    engine = MobiusEngine()
+    assert engine.mobius(P("3142"), P("315274968"), engine="general") == -6
+    assert engine.stats["theorem_calls"] > 0
+    assert set(vars(engine)) == {"cache", "stats"}
+
+
+def test_a_tiny_gather_bound_still_computes_correct_values(monkeypatch):
+    # one row per gather block
+    monkeypatch.setattr(engine_module, "_GATHER_BITS", 1)
+    # tables built by earlier tests would not be rebuilt in blocks
     poset._downset_ctx.cache_clear()
     engine = MobiusEngine()
     for n in range(4, 7):
@@ -691,7 +721,47 @@ def test_a_tiny_row_store_still_computes_correct_values(monkeypatch):
             for sigma, expected in mobius_naive_column(pi).items():
                 if is_sum_indecomposable(sigma) and sigma != pi:
                     assert engine.mobius_theorem(sigma, pi) == expected, (sigma, pi)
-    assert engine._rows._entries <= 8
+
+
+def _loop_rank_and_weight(bits) -> tuple[int, int]:
+    """The rank and weight by their definition: r is the least r >= 1 whose
+    capped stack is not below, and the weight reads S_r, 1 + S_r, S_r + 1
+    and S_(r+1)."""
+    r = 0
+    while bits[r][3]:
+        r += 1
+    stack, left, right, _ = bits[r]
+    return r + 1, stack - left - right + bits[r + 1][0]
+
+
+def test_ranks_and_weights_match_the_loop_definition():
+    rng = random.Random(11)
+    width = 6
+    below = np.zeros((500, width, 4), dtype=np.int8)
+    for row in below:
+        row[:, :3] = [[rng.randint(0, 1) for _ in range(3)] for _ in range(width)]
+        # nested capped bits, the last two 0
+        row[: rng.randrange(width - 1), 3] = 1
+    ranks, weights = engine_module._ranks_and_weights(below)
+    assert list(zip(ranks.tolist(), weights.tolist())) == [
+        _loop_rank_and_weight(row.tolist()) for row in below
+    ]
+    assert set(weights.tolist()) >= {-1, 0, 1}
+
+
+def test_a_cold_table_on_a_large_context_keeps_its_temporaries_bounded():
+    # 2683 members; a build one row at a time peaks at 14.2 MiB here, and
+    # the blocked gather stays within twice that
+    pi = P("3 11 5 13 10 6 1 12 2 9 7 4 8")
+    ctx = poset.DownsetContext(pi)
+    assert len(ctx.members) == 2683
+    tracemalloc.start()
+    try:
+        MobiusEngine()._candidate_list(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 14.2 * 2**20
 
 
 def test_general_answers_every_pair_to_length_6_by_its_own_routes(monkeypatch):
