@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -104,6 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--out", type=str, default=None, help="write output to file")
         command.set_defaults(subparser=command)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built on its first call: parsing leaves a
+    parser as it was, so one serves every call in the process."""
+    return build_parser()
 
 
 def _fmt_float(x: float) -> str:
@@ -329,9 +337,8 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     conflict = _flag_conflict(args)

@@ -24,13 +24,13 @@ alpha strictly below pi, where the weight of alpha depends on which of
 the direct-sum family members built from alpha still embed in pi.  Every
 alpha the recursion reaches lies in pi's downset, so it is solved inside
 pi's one downset context (``_Table``), with no value cache and no other
-route.  The table is built by one gather over the context's order bits
-and kept in the context's ``table`` slot, so it is bounded and evicted
-with the contexts themselves.  One walker, ``_family``, looks up a
-candidate's capped-tower family, and one helper, ``_ranks_and_weights``,
-turns the family's bits into ranks and weights, for the table (bits from
-the order matrix) and for ``min_r_general`` / ``weight_general`` (bits
-from the matcher).
+route.  The table is built by one gather over the context's order bits,
+unpacked a block of rows at a time, and kept in the context's ``table``
+slot, so it is bounded and evicted with the contexts themselves.  One
+walker, ``_family``, looks up a candidate's capped-tower family, and one
+helper, ``_ranks_and_weights``, turns the family's bits into ranks and
+weights, for the table (bits from the context's order) and for
+``min_r_general`` / ``weight_general`` (bits from the matcher).
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ class _Table:
         self._columns = columns = {}
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
-            strict = ctx.leq[block]
+            strict = ctx.rows(block)
             strict[np.arange(len(block)), block] = 0
             ia, ib = np.nonzero(strict[:, cands])
             ranks, weights = _ranks_and_weights(strict[ia[:, None, None], fam[ib]])
@@ -295,7 +295,7 @@ class _Table:
         base, columns = self._base, self._columns
         mu = [0] * m
         # The rows that contain sigma, ascending.
-        above = (ctx.leq[:, sidx] & self._rowmask).tobytes()
+        above = (ctx.above(sidx) & self._rowmask).tobytes()
         for b in itertools.compress(range(m), above):
             if b < cut:
                 v = 1 if b == sidx else -1
@@ -347,10 +347,11 @@ class MobiusEngine:
         sidx = ctx.index.get(sigma.values)
         if sidx is None:
             return []
+        above = ctx.above(sidx)
         return [
             WeightedContribution(ctx.members[b], r, w)
             for b, r, w in zip(*table.top_row)
-            if ctx.leq[b, sidx]
+            if above[b]
         ]
 
     def theorem_terms(

@@ -377,12 +377,19 @@ def oscillation(id: OscillationId) -> Permutation:
 
 def oscillation_id(p: Permutation) -> Optional[OscillationId]:
     """Which oscillation p is (W for |p| <= 2), or None when p is none: one
-    comparison with the values of the kind p's first two values select."""
+    comparison with the values of the kind p's first two values select,
+    made only when they are that kind's first two."""
     v = p.values
     n = len(v)
     if n <= 2:
         return OscillationId("W", n) if n and v[0] == n else None
-    kind = "W" if v[0] > v[1] else "M"
+    # W_n starts 3 1; M_3 starts 2 3 and every longer M_n 2 4.
+    if v[0] == 3 and v[1] == 1:
+        kind = "W"
+    elif v[0] == 2 and v[1] == min(n, 4):
+        kind = "M"
+    else:
+        return None
     return OscillationId(kind, n) if _oscillation_values(kind, n) == v else None
 
 

@@ -455,6 +455,26 @@ def test_missing_arguments_are_a_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_main_calls_share_one_parser_and_print_what_separate_parsers_do(
+    capsys, monkeypatch
+):
+    runs = [
+        ["mobius", "21", "3142"],
+        ["mobius", "21"],
+        ["interval", "21", "3142", "--format", "json"],
+        ["mobius", "21", "3152"],
+        ["check", "--suite", "crosscheck", "--max-len", "3"],
+        ["interval", "1", "21"],
+    ]
+    shared = [run_cli(capsys, argv) for argv in runs]
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    separate = [run_cli(capsys, argv) for argv in runs]
+    assert shared == separate
+    assert [rc for rc, _, _ in shared] == [0, 2, 0, 2, 0, 0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -48,6 +48,7 @@ from helpers import (
     inverse_ref,
     is_simple,
     oscillating_sequence_prefix,
+    oscillation_ref,
     sum_components_ref,
 )
 
@@ -323,6 +324,24 @@ def test_is_increasing_oscillation_membership():
     for n in range(1, 25):
         for kind in "WM":
             assert is_increasing_oscillation(oscillation(OscillationId(kind, n)))
+
+
+def _oscillation_id_ref(vals):
+    found = oscillation_ref(vals)
+    return None if found is None else OscillationId(*found[1])
+
+
+def test_oscillation_id_matches_reference():
+    # Every permutation of length <= 8 (most are rejected on their first
+    # two values), and W_n / M_n to n = 300.
+    for n in range(9):
+        for vals in all_perm_tuples(n):
+            assert perms.oscillation_id(Permutation(vals)) == _oscillation_id_ref(vals)
+    for n in range(1, 301):
+        for kind in "WM":
+            p = oscillation(OscillationId(kind, n))
+            want = _oscillation_id_ref(p.values)
+            assert want is not None and perms.oscillation_id(p) == want, (kind, n)
 
 
 # --------------------------------------------------------------- shapes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,16 +270,17 @@ def _patterns_by_deletion(values):
 
 
 def test_order_matrix_is_containment_with_keys_past_ascii():
-    # W_9's keys are ASCII: leq is contains on every pair.
+    # W_9's keys are ASCII: the order is contains on every pair.
     w9 = DownsetContext(oscillation(OscillationId("W", 9)))
+    above = [w9.above(i) for i in range(len(w9.members))]
     assert all(
-        w9.leq[j, i] == contains(a, b)
+        above[i][j] == contains(a, b)
         for i, a in enumerate(w9.members)
         for j, b in enumerate(w9.members)
     )
     # id_129 + 2413 has length 133 and 783 members, with values past 127,
     # where str.translate leaves its ASCII fast path.  The backtracking
-    # matcher is slow on such long patterns, so sampled rows of leq are
+    # matcher is slow on such long patterns, so sampled rows of the order are
     # checked against each member's patterns found by tuple deletions.
     pi = Permutation(tuple(range(1, 130)) + (131, 133, 130, 132))
     ctx = DownsetContext(pi)
@@ -286,7 +288,7 @@ def test_order_matrix_is_containment_with_keys_past_ascii():
     assert {p.values for p in ctx.members} == _patterns_by_deletion(pi.values)
     for j in [782] + random.Random(3).sample(range(782), 4):
         want = {ctx.index[v] for v in _patterns_by_deletion(ctx.members[j].values)}
-        assert set(np.flatnonzero(ctx.leq[j]).tolist()) == want, j
+        assert set(np.flatnonzero(ctx.rows([j])[0]).tolist()) == want, j
 
 
 def test_downset_past_255_points(capsys):
@@ -312,9 +314,80 @@ def test_order_matrix_is_containment_to_length_6():
         for vals in all_perm_tuples(n):
             ctx = DownsetContext(Permutation(vals))
             members = [p.values for p in ctx.members]
+            m = len(members)
+            # m rows of ceil(m / 8) bytes, bit i of row j in little bit order
+            assert ctx.bits.dtype == np.uint8
+            assert ctx.bits.nbytes == m * ((m + 7) // 8)
+            leq = ctx.rows(np.arange(m))
             for j, upper in enumerate(members):
                 for i, lower in enumerate(members):
-                    assert ctx.leq[j, i] == contains_ref(lower, upper), (vals, i, j)
+                    assert leq[j, i] == contains_ref(lower, upper), (vals, i, j)
+                    assert (ctx.bits[j, i >> 3] >> (i & 7)) & 1 == leq[j, i]
+            for i in range(m):
+                assert ctx.above(i).tolist() == leq[:, i].tolist(), (vals, i)
+
+
+def _dense_solves(ctx, sidxs):
+    """The column and the rows of sidxs, solved one level at a time on the
+    order unpacked whole."""
+    m = len(ctx.members)
+    leq = np.unpackbits(ctx.bits, axis=1, count=m, bitorder="little").astype(np.int64)
+    column = np.zeros(m, dtype=np.int64)
+    column[m - 1] = 1
+    for _, start, end in reversed(ctx.groups[:-1]):
+        column[start:end] = -(column[end:] @ leq[end:, start:end])
+    rows = []
+    for sidx in sidxs:
+        row = np.zeros(m, dtype=np.int64)
+        row[sidx] = 1
+        slen = len(ctx.members[sidx].values)
+        for length, start, end in ctx.groups:
+            if length > slen:
+                part = -(leq[start:end, :start] @ row[:start])
+                row[start:end] = part * leq[start:end, sidx]
+        rows.append(row.tolist())
+    return column.tolist(), rows
+
+
+# 1 << 20: the module's bound, under which each context here but W_15 is
+# one band; 9: one bit a band, so every level is cut into one-member parts;
+# 9 << 10: a few levels a band at length 7 and many bands on W_15.
+@pytest.mark.parametrize("band_bytes", [1 << 20, 9, 9 << 10])
+def test_banded_column_and_row_equal_a_dense_solve(monkeypatch, band_bytes):
+    monkeypatch.setattr(poset, "_BAND_BYTES", band_bytes)
+    # Every unpacked band keeps within the bound, but for a one-member part
+    # whose own rows or columns are past it.
+    unpack = DownsetContext._block
+    sizes = []
+
+    def block(self, *corners):
+        out = unpack(self, *corners)
+        sizes.append(out.size if min(out.shape) > 1 else 0)
+        return out
+
+    monkeypatch.setattr(DownsetContext, "_block", block)
+    pis = [Permutation(vals) for n in range(8) for vals in all_perm_tuples(n)]
+    for pi in pis + [oscillation(OscillationId("W", 15))]:
+        ctx = DownsetContext(pi)
+        m = len(ctx.members)
+        sidxs = range(0, m, max(1, m // 6))
+        rows = [ctx.row(ctx.members[i]).tolist() for i in sidxs]
+        assert (ctx.column().tolist(), rows) == _dense_solves(ctx, sidxs), pi
+    assert max(sizes) <= band_bytes // 9
+
+
+def test_w15_order_is_packed_and_its_build_holds_no_dense_matrix():
+    w15 = oscillation(OscillationId("W", 15))
+    tracemalloc.start()
+    try:
+        ctx = DownsetContext(w15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = len(ctx.members)
+    assert m == 3142
+    assert ctx.bits.nbytes == m * ((m + 7) // 8)
+    assert peak < m * m
 
 
 # ---------------------------------------------------------------- interval
