@@ -20,8 +20,15 @@ divisor scan (``_divisor_scan``): a chain member with copy cost q has a
 nonzero weight only when q divides t or t - 2, where t = 2n - b, so each
 value costs one pass over the even divisors of two numbers.  Each sigma
 keeps its values as one row of two lists indexed by n, mu(sigma, W_n) and
-mu(sigma, M_n), which the scan extends in place.  The principal series
-mu(1, W_n) = mu(1, M_n) is the sigma = 1 instance of the same scan.
+mu(sigma, M_n), which the scan extends in place.  A row keeps the plan
+of its scan, built once when the row is made: the chain table and, for
+each parity of n and kind, every offset, least copy cost and own-shape
+flag the scan reads.  A query past a row's end is then the divisor scan
+alone, and a query that a row answers runs no recognizer.  The principal
+series mu(1, W_n) = mu(1, M_n) is the sigma = 1 instance of the same scan:
+its row holds the one list ``_principal`` names (both kinds), and is made
+again when that name is bound to another list.  A query for sigma = 1 runs
+no recognizer either.
 
 The scan has two forms with equal values.  An extension by fewer than
 ``_BLOCK_MIN`` (512) lengths takes the per-length form, which walks a
@@ -285,11 +292,76 @@ def _require_id(p: Union[OscillationId, Permutation]) -> OscillationId:
     return id
 
 
-# Each oscillation lower bound sigma's values, keyed by sigma's values:
-# row["W"][n] = mu(sigma, W_n) and row["M"][n] = mu(sigma, M_n), two lists
-# of equal length that the divisor scan extends in place.  Slots below
-# |sigma| + 2 are placeholders for the scan and never answer a query.
-_lower_rows: dict[tuple[int, ...], dict[str, list[int]]] = {}
+class _Row(dict):
+    """One lower bound's values by kind, row["W"][n] = mu(sigma, W_n) and
+    row["M"][n] = mu(sigma, M_n), with the plan of the divisor scan that
+    extends the two lists in place.  For sigma = 1 one list serves as both
+    kinds, and the scan fills it as W.
+
+    The plan is built once, from sigma's class cls (None for sigma = 1):
+    - kinds: the kinds the scan fills ("WM", or "W" for sigma = 1);
+    - chains: _chains(row, cls);
+    - by_parity[n % 2]: one _kind_plan per filled kind;
+    - settled: the length from which the block form sums every near term.
+    It holds the row's lists themselves, so a list that is replaced rather
+    than extended must be re-pointed here too.  It holds no divisor table:
+    the shared one is replaced as it grows.
+    """
+
+    __slots__ = ("kinds", "chains", "by_parity", "settled")
+
+    def __init__(self, w: list[int], m: list[int], cls: Optional[PiClass]) -> None:
+        super().__init__(W=w, M=m)
+        self.kinds = "W" if w is m else "WM"
+        self.chains = _chains(self, cls)
+        w21 = w[2] if _class_min_k(SINGLE21, cls) <= 1 else 0
+        self.by_parity = tuple(
+            tuple(
+                self._kind_plan(kind, _upper_class(kind, parity), w21)
+                for kind in self.kinds
+            )
+            for parity in (0, 1)
+        )
+        # Every near term is summed from this length on: the chain term of
+        # copy cost v = t - shift (shift 0 or 2, t = n + n % 2 - b) once
+        # v >= q_min.
+        self.settled = max(
+            q_min + b + 2 - parity
+            for parity in (0, 1)
+            for _, _, _, chains in self.by_parity[parity]
+            for _, _, q_min, b, _ in chains
+        )
+
+    def _kind_plan(self, kind: str, pi_kind: str, w21: int) -> tuple:
+        """(kind, its list, the bare-21 term by budget mod 3, and per chain
+        shape (member list, length offset, least summed copy cost q_min,
+        offset b, whether it is the upper bound's own shape)) for the upper
+        bounds kind_n of class pi_kind; w21 = mu(sigma, 21) when the bare 21
+        is summed, else 0."""
+        # The bare 21 (q = 3) weighs +1 when 3 divides t - 4, where
+        # t = budget - b, and -1 when 3 divides t - 5.
+        b21 = _B_OFFSET.get((SINGLE21, pi_kind), 0)
+        bare21 = tuple((w21, -w21, 0)[(budget - b21 - 4) % 3] for budget in range(3))
+        chains = tuple(
+            (
+                member,
+                offset,
+                q_min,
+                _B_OFFSET.get((shape_kind, pi_kind), 0),
+                shape_kind == _OWN_CHAIN[pi_kind],
+            )
+            for shape_kind, member, offset, q_min in self.chains
+        )
+        return kind, self[kind], bare21, chains
+
+
+# Each oscillation lower bound sigma's row, keyed by sigma's values, made
+# with its scan plan when sigma is first queried at a length the scan
+# fills.  Slots below |sigma| + 2 are placeholders for the scan and never
+# answer a query; from there on a row answers, and extends itself, with no
+# recognizer.  The row of sigma = 1 holds the principal series, which
+# queries read through _principal.
+_lower_rows: dict[tuple[int, ...], _Row] = {}
 
 
 def clear_oscillation_memo() -> None:
@@ -309,21 +381,15 @@ def _sigma_leq_osc(sigma: OscillationId, id: OscillationId) -> bool:
     return sigma.n <= 2 or sigma.kind == id.kind
 
 
-def _fill_memo(sigma: Permutation, cls: PiClass, up_to: int) -> dict[str, list[int]]:
-    """sigma's row, extended in place for both kinds up to length up_to by
-    one divisor scan; cls is sigma's class.
+def _fill_memo(row: _Row, up_to: int) -> _Row:
+    """row, extended in place for both kinds up to length up_to by one
+    divisor scan with its kept plan.
 
     On Overflow both lists are cut back to their common prefix, every value
     of which passed the guard, so the row stays of equal lengths.
     """
-    row = _lower_rows.get(sigma.values)
-    if row is None:
-        # A summed member of sigma's own length contains sigma (it passes
-        # the block-count threshold), so it is sigma and its value is 1.
-        row = {kind: [0] * len(sigma) + [1, -1] for kind in "WM"}
-        _lower_rows[sigma.values] = row
     try:
-        _divisor_scan(row, "WM", up_to, cls)
+        _divisor_scan(row, up_to)
     except Overflow:
         exact = min(map(len, row.values()))
         for values in row.values():
@@ -349,15 +415,9 @@ _BLOCK_MIN = 512
 _OVERFLOW = "oscillation Möbius value exceeds the 64-bit guard"
 
 
-def _divisor_scan(
-    values: dict[str, list[int]],
-    kinds: str,
-    up_to: int,
-    cls: Optional[PiClass],
-) -> None:
-    """Extend values[kind] = [mu(sigma, kind_0), mu(sigma, kind_1), ...] in
-    place for each of the given kinds up to length up_to, where sigma is the
-    lower bound of class cls (None for sigma = 1).
+def _divisor_scan(row: _Row, up_to: int) -> None:
+    """Extend row[kind] = [mu(sigma, kind_0), mu(sigma, kind_1), ...] in
+    place for each kind the row fills up to length up_to, by its plan.
 
     For a chain shape the copy cost q = 2k + c is even, and so is t = 2n - b.
     With r the least copy count with q*r > t - 4, a member's signed weight
@@ -379,24 +439,15 @@ def _divisor_scan(
     by numpy slice sums and solves the near terms, a fixed linear
     recurrence (_NEAR_OWN, _NEAR_CROSS), by numpy prefix sums.
     """
-    chains = _chains(values, cls)
-    with_21 = _class_min_k(SINGLE21, cls) <= 1
-    if up_to + 1 - len(values[kinds[0]]) < _BLOCK_MIN and up_to + 4 < 2 * max(
+    filled = row[row.kinds[0]]
+    if up_to + 1 - len(filled) < _BLOCK_MIN and up_to + 4 < 2 * max(
         len(_divisors), _BLOCK_MIN
     ):
-        _scan_lengths(values, kinds, up_to, chains, with_21)
+        _scan_lengths(row, up_to)
         return
-    # Every near term is summed from this length on: the chain term of copy
-    # cost v = t - shift (shift 0 or 2, t = n + n % 2 - b) once v >= q_min.
-    settled = max(
-        q_min + _B_OFFSET.get((shape_kind, _upper_class(kind, parity)), 0) + 2 - parity
-        for kind in kinds
-        for parity in (0, 1)
-        for shape_kind, _, _, q_min in chains
-    )
-    _scan_lengths(values, kinds, min(settled, up_to + 1) - 1, chains, with_21)
-    while len(values[kinds[0]]) <= up_to:
-        _scan_block(values, kinds, up_to, chains, with_21)
+    _scan_lengths(row, min(row.settled, up_to + 1) - 1)
+    while len(filled) <= up_to:
+        _scan_block(row, up_to)
 
 
 def _chains(values: dict[str, list[int]], cls: Optional[PiClass]) -> list:
@@ -408,37 +459,32 @@ def _chains(values: dict[str, list[int]], cls: Optional[PiClass]) -> list:
     ]
 
 
-def _scan_lengths(values, kinds, up_to, chains, with_21) -> None:
+def _scan_lengths(row: _Row, up_to: int) -> None:
     """The per-length form of _divisor_scan: every term of one length from
-    the even-divisor lists of t and t - 2 (_divisors_to)."""
-    start = len(values[kinds[0]])
+    the even-divisor lists of t and t - 2 (_divisors_to).  A summed t is
+    even and at least 4, so it is the last entry of its own list."""
+    start = len(row[row.kinds[0]])
     if start > up_to:
         return
     divs = _divisors_to(up_to + 4)
-    single21 = values["W"]
     for n in range(start, up_to + 1):
         budget = n + n % 2
-        for kind in kinds:
-            pi_kind = _upper_class(kind, n)
-            own_shape = _OWN_CHAIN[pi_kind]
-            total = 0
-            if with_21:
-                s = (budget - _B_OFFSET.get((SINGLE21, pi_kind), 0) - 4) % 3
-                if s == 0:
-                    total += single21[2]
-                elif s == 1:
-                    total -= single21[2]
-            for shape_kind, member, offset, q_min in chains:
-                t = budget - _B_OFFSET.get((shape_kind, pi_kind), 0)
-                for val, sign in ((t, 1), (t - 2, -1)):
-                    if val < q_min:
-                        continue
-                    for q in divs[val]:
-                        if q >= q_min and (q != t or shape_kind != own_shape):
-                            total += sign * member[q + offset]
+        for _, out, bare21, chains in row.by_parity[n % 2]:
+            total = bare21[budget % 3]
+            for member, offset, q_min, b, own in chains:
+                t = budget - b
+                if t < q_min:
+                    continue
+                for q in divs[t][:-1] if own else divs[t]:
+                    if q >= q_min:
+                        total += member[q + offset]
+                if t - 2 >= q_min:
+                    for q in divs[t - 2]:
+                        if q >= q_min:
+                            total -= member[q + offset]
             if abs(total) >= _INT64_GUARD:
                 raise Overflow(_OVERFLOW)
-            values[kind].append(-total)
+            out.append(-total)
 
 
 # The near terms (q = v) of the block form, as the coefficients of
@@ -460,7 +506,7 @@ _NEAR_DIFF = (2, 2)
 _INT64_EXACT = 1 << 58
 
 
-def _scan_block(values, kinds, up_to, chains, with_21) -> None:
+def _scan_block(row: _Row, up_to: int) -> None:
     """The block form of _divisor_scan: the lengths [lo, hi), where lo is
     the first missing length and hi = min(2 lo - 1, up_to + 1).
 
@@ -471,24 +517,25 @@ def _scan_block(values, kinds, up_to, chains, with_21) -> None:
     which raises Overflow.  For sigma = 1 that is what the per-length form
     stores; _fill_memo cuts sigma's two lists back to their common prefix.
     """
-    lo = len(values[kinds[0]])
+    kinds = row.kinds
+    lo = len(row[kinds[0]])
     hi = min(2 * lo - 1, up_to + 1)
-    fars = _far_terms(values, kinds, lo, hi, chains, with_21)
-    heads = [x for kind in kinds for x in values[kind][lo - 4 : lo]]
+    fars = _far_terms(row, lo, hi)
+    heads = [x for kind in kinds for x in row[kind][lo - 4 : lo]]
     on_int64 = fars[kinds[0]].dtype == np.int64 and max(map(abs, heads)) < _INT64_EXACT
-    solved = _solve_near(values, kinds, lo, fars) if on_int64 else None
+    solved = _solve_near(row, kinds, lo, fars) if on_int64 else None
     if solved is None or not _exact(solved, kinds, fars):
         fars = {kind: far.astype(object) for kind, far in fars.items()}
-        solved = _solve_near(values, kinds, lo, fars)
+        solved = _solve_near(row, kinds, lo, fars)
     for kind in kinds:
         block = solved[kind][4:]
         stored = _first_past_guard(block)
-        values[kind].extend(block[:stored].tolist())
+        row[kind].extend(block[:stored].tolist())
         if stored < len(block):
             raise Overflow(_OVERFLOW)
 
 
-def _far_terms(values, kinds, lo, hi, chains, with_21) -> dict[str, np.ndarray]:
+def _far_terms(row: _Row, lo: int, hi: int) -> dict[str, np.ndarray]:
     """far[kind][n - lo] for the lengths lo <= n < hi: every term but the
     near ones, as one array per kind.
 
@@ -502,37 +549,32 @@ def _far_terms(values, kinds, lo, hi, chains, with_21) -> dict[str, np.ndarray]:
     """
     v_lo, v_hi = lo - 4, hi + 2  # every t - 2 and t of the block (|b| <= 2)
     root = isqrt(v_hi)
-    lists = {id(member): member for _, member, _, _ in chains}
+    lists = {id(member): member for _, member, _, _ in row.chains}
     arrays = {key: np.array(member[:lo], dtype=np.int64) for key, member in lists.items()}
     peak = max(int(np.abs(array).max()) for array in arrays.values())
     dtype = np.int64
-    if peak * (4 * (root + 1) * len(chains) + 1) >= _INT64_GUARD:
+    if peak * (4 * (root + 1) * len(row.chains) + 1) >= _INT64_GUARD:
         dtype = object
         arrays = {key: array.astype(object) for key, array in arrays.items()}
     sums = {}
-    for _, member, offset, q_min in chains:
+    for _, member, offset, q_min in row.chains:
         key = (id(member), offset, q_min)
         if key not in sums:
             sums[key] = _divisor_sums(arrays[id(member)], offset, q_min, v_lo, v_hi, root)
-    fars = {}
-    for kind in kinds:
-        far = np.zeros(hi - lo, dtype=dtype)
-        for parity in (0, 1):
-            first = lo + (parity - lo) % 2
-            part = far[first - lo :: 2]
+    fars = {kind: np.zeros(hi - lo, dtype=dtype) for kind in row.kinds}
+    for parity, entries in enumerate(row.by_parity):
+        first = lo + (parity - lo) % 2
+        for kind, _, bare21, chains in entries:
+            part = fars[kind][first - lo :: 2]
             count = len(part)
-            pi_kind = _upper_class(kind, parity)
-            for shape_kind, member, offset, q_min in chains:
+            for member, offset, q_min, b, _ in chains:
                 f = sums[(id(member), offset, q_min)]
-                t = first + parity - _B_OFFSET.get((shape_kind, pi_kind), 0) - v_lo
+                t = first + parity - b - v_lo
                 part += f[t : t + 2 * count : 2]
                 part -= f[t - 2 : t - 2 + 2 * count : 2]
-            if with_21:
-                w = values["W"][2]
-                b = _B_OFFSET.get((SINGLE21, pi_kind), 0)
-                s = (np.arange(first, hi, 2) + parity - b - 4) % 3
-                part += np.array([w, -w, 0], dtype=dtype)[s]
-        fars[kind] = far
+            if any(bare21):
+                budgets = np.arange(first, hi, 2) + parity
+                part += np.array(bare21, dtype=dtype)[budgets % 3]
     return fars
 
 
@@ -636,10 +678,16 @@ def mobius_oscillation(
     """mu(sigma, pi) for an increasing-oscillation upper bound, computed
     purely from the containment inequalities."""
     id = _require_id(pi)
-    # Only oscillation lower bounds have a row, so a hit is valid.
+    if len(sigma) == 1:
+        return _principal_value(id.n)  # 1 is contained in every oscillation
     row = _lower_rows.get(sigma.values)
-    if row is not None and len(sigma) + 2 <= id.n < len(row[id.kind]):
-        return row[id.kind][id.n]
+    if row is not None and id.n >= len(sigma) + 2:
+        # Only oscillation lower bounds have a row, and each is contained
+        # in every longer oscillation, so the row answers unchecked.
+        values = row[id.kind]
+        if id.n >= len(values):
+            _fill_memo(row, id.n)
+        return values[id.n]
     sigma_id = oscillation_id(sigma)
     if sigma_id is None:
         raise NotAnOscillation(
@@ -647,12 +695,15 @@ def mobius_oscillation(
         )
     if not _sigma_leq_osc(sigma_id, id):
         raise NotContained(f"{sigma} is not contained in the upper bound")
-    if sigma_id.n == 1:
-        return _principal_value(id.n)
     gap = id.n - sigma_id.n
     if gap < 2:
         return -1 if gap else 1
-    return _fill_memo(sigma, pi_class_of(sigma_id), id.n)[id.kind][id.n]
+    # A summed member of sigma's own length contains sigma (it passes the
+    # block-count threshold), so it is sigma and its value is 1.
+    head = [0] * len(sigma) + [1, -1]
+    row = _Row(head, list(head), pi_class_of(sigma_id))
+    _lower_rows[sigma.values] = row
+    return _fill_memo(row, id.n)[id.kind][id.n]
 
 
 def trace_oscillation(
@@ -727,11 +778,18 @@ def _divisors_to(limit: int) -> list[tuple[int, ...]]:
 
 def _extend_principal(n_max: int) -> None:
     """Fill the principal series up to length n_max by the divisor scan;
-    mu(1, W_n) = mu(1, M_n), so one array serves as both kinds."""
+    mu(1, W_n) = mu(1, M_n), so one array serves as both kinds.
+
+    The series' row is kept in _lower_rows under sigma = 1, and is made
+    again whenever _principal names another list than the one it holds.
+    """
     mu = _principal
     if n_max < len(mu):
         return
-    _divisor_scan({"W": mu, "M": mu}, "W", n_max, None)
+    row = _lower_rows.get((1,))
+    if row is None or row["W"] is not mu:
+        row = _lower_rows[(1,)] = _Row(mu, mu, None)
+    _divisor_scan(row, n_max)
 
 
 def _principal_value(length: int) -> int:

@@ -16,6 +16,7 @@ are the paper's constructions of the same permutations.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -343,8 +344,15 @@ class OscillationId:
     def __post_init__(self) -> None:
         if self.kind not in ("W", "M"):
             raise InvalidShape(f"oscillation kind must be W or M, got {self.kind!r}")
-        if self.n < 1:
-            raise InvalidShape(f"oscillation length must be >= 1, got {self.n}")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise InvalidShape(
+                f"oscillation length must be an integer, got {self.n!r}"
+            ) from None
+        if n < 1:
+            raise InvalidShape(f"oscillation length must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)  # a plain int, also for numpy integers
 
 
 _ONE = Permutation._wrap((1,))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -659,6 +660,95 @@ def test_a_row_answers_only_from_two_lengths_past_its_lower_bound():
     assert oscillation_fast._lower_rows[w4.values] is row
     assert all(a is b for a, b in zip((row["W"], row["M"]), lists))
     assert len(row["W"]) == len(row["M"]) == 101
+    clear_oscillation_memo()
+
+
+def test_a_repeat_query_runs_no_recognizer(monkeypatch):
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return oscillation_id(p)
+
+    want_series = principal_mu_series(300)
+    w5 = oscillation(OscillationId("W", 5))
+    expected = mobius_osc_ref(w5.values, 100)
+    monkeypatch.setattr(oscillation_fast, "oscillation_id", counted)
+    clear_oscillation_memo()
+    for n in range(7, 101):
+        for kind in "WM":
+            assert mobius_oscillation(w5, OscillationId(kind, n)) == expected[kind, n]
+    # one call, when the row is made with its scan plan; every later
+    # length extends the row by its kept plan
+    assert calls == [w5]
+    calls.clear()
+    monkeypatch.setattr(oscillation_fast, "_principal", [0, 1, -1, 1])
+    one = Permutation((1,))
+    series = [mobius_oscillation(one, OscillationId("W", n)) for n in range(1, 301)]
+    assert calls == []
+    assert series == want_series[1:]
+    clear_oscillation_memo()
+
+
+def test_the_principal_row_follows_the_series_list(monkeypatch):
+    # sigma = 1's row keeps its plan between extensions, and is made again
+    # for each new list _principal names
+    want = principal_mu_series(400)
+    one = Permutation((1,))
+    for _ in range(2):
+        store = [0, 1, -1, 1]
+        monkeypatch.setattr(oscillation_fast, "_principal", store)
+        assert principal_mu_series(200) == want[:201]
+        for n in range(201, 401):
+            assert mobius_oscillation(one, OscillationId("M", n)) == want[n]
+        assert oscillation_fast._lower_rows[(1,)]["W"] is store
+        assert len(store) == 401
+    clear_oscillation_memo()
+
+
+def test_query_order_does_not_change_values():
+    # the lower bounds of the osc_lower benchmark, each row filled
+    # ascending (kinds alternating), descending and in a seeded shuffle
+    top = 150
+    for kind in "WM":
+        for length in range(3, 9):
+            sigma = oscillation(OscillationId(kind, length))
+            expected = mobius_osc_ref(sigma.values, top)
+            ascending = [
+                OscillationId(upper, n)
+                for n in range(length, top + 1)
+                for upper in "WM"
+                if n > length or upper == kind
+            ]
+            shuffled = list(ascending)
+            random.Random(length).shuffle(shuffled)
+            for order in (ascending, ascending[::-1], shuffled):
+                clear_oscillation_memo()
+                for id in order:
+                    got = mobius_oscillation(sigma, id)
+                    assert got == expected[id.kind, id.n], (sigma, id)
+    clear_oscillation_memo()
+
+
+def test_the_overflow_guard_cuts_a_one_length_extension_back(monkeypatch):
+    # ascending queries extend M_5's row one length at a time; at n = 93
+    # mu(M_5, M_n) first reaches the guard of 1000, after the W value of
+    # that length is stored, so the extension is cut back to n = 92
+    sigma = oscillation(OscillationId("M", 5))
+    want = mobius_osc_ref(sigma.values, 300)
+    clear_oscillation_memo()
+    monkeypatch.setattr(oscillation_fast, "_INT64_GUARD", 1000)
+    for n in range(7, 93):
+        for kind in "WM":
+            assert mobius_oscillation(sigma, OscillationId(kind, n)) == want[kind, n]
+    with pytest.raises(Overflow):
+        mobius_oscillation(sigma, OscillationId("W", 93))
+    row = oscillation_fast._lower_rows[sigma.values]
+    assert len(row["W"]) == len(row["M"]) == 93
+    monkeypatch.undo()
+    for n in range(7, 301):
+        for kind in "WM":
+            assert mobius_oscillation(sigma, OscillationId(kind, n)) == want[kind, n]
     clear_oscillation_memo()
 
 

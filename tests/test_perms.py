@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -312,6 +313,19 @@ def test_oscillating_sequence_prefix_is_the_even_chain():
 def test_oscillation_rejects_nonpositive_length():
     with pytest.raises(InvalidShape):
         oscillation(OscillationId("W", 0))
+
+
+@pytest.mark.parametrize("n", [2.5, "5", None])
+def test_oscillation_id_refuses_a_length_that_is_not_an_integer(n):
+    with pytest.raises(InvalidShape):
+        OscillationId("W", n)
+
+
+def test_oscillation_id_takes_a_numpy_integer_length():
+    id = OscillationId("W", np.int64(5))
+    assert id == OscillationId("W", 5)
+    assert type(id.n) is int
+    assert oscillation(id) == oscillation(OscillationId("W", 5))
 
 
 def test_is_increasing_oscillation_membership():
