@@ -155,7 +155,8 @@ def _cmd_mobius(args: argparse.Namespace) -> tuple[list[str], int]:
             args.engine == "auto" and _oscillation_route(lower, upper) is not None
         ):
             # The fast path's tables, printed also for a pair that the
-            # dispatcher answers directly (a covering pair, sigma = pi).
+            # dispatcher answers directly (sigma = pi, or a covering pair
+            # under --engine oscillation).
             lines.extend(trace_oscillation(lower, upper))
     lines.append(str(engine.mobius(sigma, pi, engine=args.engine)))
     return lines, EXIT_OK

@@ -4,17 +4,21 @@
 (``_query_route``), and every route and sub-query of that query runs on
 the engine it names; the value cache keeps each value under its engine.
 Decomposable upper bounds are reduced by the component recursions (the
-methods ``mobius_prop1`` / ``mobius_prop2`` / ``mobius_cor3``).  On an
-indecomposable upper bound, ``auto`` takes the inequality-only fast path
-for an increasing oscillation and otherwise reads the oracle's column of
-pi's downset context; when that context cannot be refused, its index
-answers whether sigma is contained, so the matcher is not asked.  Past
+methods ``mobius_prop1`` / ``mobius_prop2`` / ``mobius_cor3``), whose sums
+of products vanish unless sigma embeds in pi, so they decide containment
+themselves.  On an indecomposable upper bound, ``auto`` takes the
+inequality-only fast path for an increasing oscillation (every shorter
+one is contained) and otherwise reads the oracle's column of pi's
+downset context, whose index answers whether sigma is contained.  Past
 that, one complement rule covers the skew half: complement keeps mu and
 turns skew sums into direct sums, so a skew-decomposable pi (and, under
 ``general``, a sum-decomposable sigma; under ``auto``, a pair whose
 complement is an oscillation route) is answered as mu(sigma^c, pi^c).
-The route rule and the recursions read pi's components and cuts from one
-bounded store keyed by values (``perms.sum_decompose``).
+The containment matcher is asked only about a sum- and
+skew-indecomposable pi that none of these answers, and on every query of
+``--engine oscillation``.  The route rule and the recursions read pi's
+components and cuts from one bounded store keyed by values
+(``perms.sum_decompose``).
 
 The ``general`` engine answers a sum-indecomposable sigma below a sum- and
 skew-indecomposable pi by the paper's weighted contributing-set recursion
@@ -48,7 +52,6 @@ from .oscillation_fast import mobius_oscillation
 from .perms import (
     OscillationId,
     Permutation,
-    SumDecomposition,
     _family_values,
     _iterated_sum_values,
     complement,
@@ -505,19 +508,18 @@ class MobiusEngine:
         return mobius_naive(sigma, pi)
 
 
-def _direct_value(
-    sigma: Permutation, pi: Permutation, dec: SumDecomposition
-) -> Optional[int]:
-    """mu(sigma, pi) where the dispatcher needs no route once the value
-    checks have passed (no containment, a covering pair, an identity upper
-    bound; dec is pi's decomposition), else None."""
+def _direct_value(sigma: Permutation, pi: Permutation) -> Optional[int]:
+    """mu(sigma, pi) by the matcher, once the value checks have passed: 0
+    when sigma is not contained, -1 for a covering pair, and 0 for an
+    identity pi (the chain rule, a length gap >= 2), else None.  Only
+    --engine oscillation reaches the chain rule: on auto and general an
+    identity pi is sum-decomposable and takes prop1."""
     if not contains(sigma, pi):
         return 0
     plen = len(pi.values)
     if plen - len(sigma.values) == 1:
         return -1
-    if len(dec.cuts) == plen:
-        # Containment inside a chain with a length gap >= 2.
+    if is_identity(pi):
         return 0
     return None
 
@@ -531,19 +533,24 @@ def _query_route(
     takes it on the "oscillation" route, and pi's complement on the
     "complement" route.
 
-    After the checks on the values alone, auto sends a sum-indecomposable
-    pi that is no oscillation route and whose context cannot be refused
-    (2^|pi| patterns at most) to the oracle without the matcher: pi's
-    context index answers every sigma (0 when not contained, -1 when
-    covered).  On any other sum-indecomposable pi that is no oscillation
-    route, auto and general take the complement rule: complement keeps mu
-    and swaps sum and skew sums, so a skew-decomposable pi (and, under
-    general, a sum-decomposable sigma; under auto, a pair whose complement
-    is an oscillation route, such as 1 below the reverse of W_n) is
-    answered as mu(sigma^c, pi^c) on the same engine.  pi^c is then
-    sum-decomposable, or an oscillation route, or both pi^c and sigma^c
-    are sum-indecomposable, so the rule is not taken twice.  Every other
-    query asks the matcher first (_direct_value)."""
+    After the checks on the values alone, every engine but naive and
+    oscillation lets the route that answers the pair decide containment
+    too.  A sum-decomposable pi takes a component recursion (prop1, cor3
+    or prop2), whose sums of products vanish unless sigma embeds in pi.
+    On a sum-indecomposable pi, auto takes the fast path when the pair is
+    an oscillation route (every shorter oscillation is contained, and the
+    fast path answers covering pairs), and otherwise the oracle when pi's
+    context cannot be refused (2^|pi| patterns at most): the context's
+    index answers every sigma.  Past that, auto and general take the
+    complement rule: complement keeps mu and swaps sum and skew sums, so a
+    skew-decomposable pi (and, under general, a sum-decomposable sigma;
+    under auto, a pair whose complement is an oscillation route, such as 1
+    below the reverse of W_n) is answered as mu(sigma^c, pi^c) on the same
+    engine.  pi^c is then sum-decomposable, or an oscillation route, or
+    both pi^c and sigma^c are sum-indecomposable, so the rule is not taken
+    twice.  Only a sum- and skew-indecomposable pi that none of these
+    answers, and every query under --engine oscillation, asks the matcher
+    (_direct_value)."""
     if engine == "naive":
         return "naive", None
     if sigma == pi:
@@ -554,41 +561,38 @@ def _query_route(
         return "direct", 0
     if slen == 0:
         return "direct", -1 if plen == 1 else 0
-    dec = sum_decompose(pi)
-    decomposable = len(dec.cuts) > 1
-    pi_id = None
-    if not decomposable and engine != "oscillation":
+    if engine != "oscillation":
+        dec = sum_decompose(pi)
+        if len(dec.cuts) > 1:
+            if dec.cuts[0] == 1:
+                return "prop1", None
+            if len(sum_decompose(sigma).cuts) == 1:
+                return "cor3", None
+            return "prop2", None
         if engine == "auto":
             pi_id = _oscillation_route(sigma, pi)
-            if pi_id is None and 1 << plen <= poset.MAX_DOWNSET_MEMBERS:
+            if pi_id is not None:
+                return "oscillation", pi_id
+            if 1 << plen <= poset.MAX_DOWNSET_MEMBERS:
                 return "naive", None
-        if pi_id is None:
-            pi_c = complement(pi)
-            if (
-                len(sum_decompose(pi_c).cuts) > 1
-                or (engine == "general" and len(sum_decompose(sigma).cuts) > 1)
-                or (
-                    engine == "auto"
-                    and _oscillation_route(complement(sigma), pi_c) is not None
-                )
-            ):
-                return "complement", pi_c
-    value = _direct_value(sigma, pi, dec)
+        pi_c = complement(pi)
+        if (
+            len(sum_decompose(pi_c).cuts) > 1
+            or (engine == "general" and len(sum_decompose(sigma).cuts) > 1)
+            or (
+                engine == "auto"
+                and _oscillation_route(complement(sigma), pi_c) is not None
+            )
+        ):
+            return "complement", pi_c
+    value = _direct_value(sigma, pi)
     if value is not None:
         return "direct", value
     if engine == "oscillation":
         return "oscillation", pi
-    if decomposable:
-        if dec.cuts[0] == 1:
-            return "prop1", None
-        if len(sum_decompose(sigma).cuts) == 1:
-            return "cor3", None
-        return "prop2", None
-    if engine == "auto":
-        # The theorem would build pi's context and a table on top of it;
-        # the oracle reads the same context's column.
-        return ("naive", None) if pi_id is None else ("oscillation", pi_id)
-    return "theorem", None
+    # The theorem would build pi's context and a table on top of it; auto's
+    # oracle reads the same context's column.
+    return ("naive", None) if engine == "auto" else ("theorem", None)
 
 
 def _oscillation_route(sigma: Permutation, pi: Permutation) -> Optional[OscillationId]:

@@ -77,6 +77,7 @@ from .perms import (
     Permutation,
     Shape,
     _shape_of,
+    _store_int,
     oscillation,
     oscillation_id,
 )
@@ -115,8 +116,9 @@ class PiClass:
     def __post_init__(self) -> None:
         if self.kind not in _PI_KINDS:
             raise InvalidShape(f"unknown upper-bound class {self.kind!r}")
-        if self.n < 1:
-            raise InvalidShape(f"class parameter must be >= 1, got {self.n}")
+        n = _store_int(self, "n", "class parameter")
+        if n < 1:
+            raise InvalidShape(f"class parameter must be >= 1, got {n}")
 
     @property
     def length(self) -> int:

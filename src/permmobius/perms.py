@@ -300,6 +300,21 @@ _CHAIN_OF = {
 }
 
 
+def _store_int(obj, field: str, what: str) -> int:
+    """Store the integer parameter obj.field back as a plain int (numpy
+    integers pass) and return it; InvalidShape for a bool or a value that
+    is no integer."""
+    value = getattr(obj, field)
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidShape(f"{what} must be an integer, got {value!r}") from None
+    object.__setattr__(obj, field, n)
+    return n
+
+
 @dataclass(frozen=True)
 class Shape:
     """A shape kind together with its 21-block count k.
@@ -314,6 +329,7 @@ class Shape:
     def __post_init__(self) -> None:
         if self.kind not in SHAPE_KINDS:
             raise InvalidShape(f"unknown shape kind {self.kind!r}")
+        _store_int(self, "k", "block count")
         if self.kind == SINGLE21:
             if self.k != 1:
                 raise InvalidShape("Single21 has fixed k = 1")
@@ -344,15 +360,9 @@ class OscillationId:
     def __post_init__(self) -> None:
         if self.kind not in ("W", "M"):
             raise InvalidShape(f"oscillation kind must be W or M, got {self.kind!r}")
-        try:
-            n = operator.index(self.n)
-        except TypeError:
-            raise InvalidShape(
-                f"oscillation length must be an integer, got {self.n!r}"
-            ) from None
+        n = _store_int(self, "n", "oscillation length")
         if n < 1:
             raise InvalidShape(f"oscillation length must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)  # a plain int, also for numpy integers
 
 
 _ONE = Permutation._wrap((1,))

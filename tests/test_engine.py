@@ -28,6 +28,7 @@ from permmobius import (
     downset,
     family_sum,
     interval,
+    inverse,
     is_identity,
     is_reverse_identity,
     is_sum_indecomposable,
@@ -40,13 +41,14 @@ from permmobius import (
     oscillation,
     parse_permutation,
     principal_mu_series,
+    reverse,
     skew_sum,
     weight_general,
 )
 from permmobius import engine as engine_module
 from permmobius import perms, poset
 
-from helpers import all_perm_tuples
+from helpers import all_perm_tuples, standardize_ref
 
 P = parse_permutation
 ONE = P("1")
@@ -665,6 +667,111 @@ def test_long_upper_bounds_ask_the_matcher_before_any_context():
     sigma = Permutation(range(max(longest) + 1, 0, -1))
     assert not contains(sigma, pi)
     assert MobiusEngine().mobius(sigma, pi) == 0
+
+
+def _short_pairs(decomposable_only: bool = False):
+    """Every sigma of length 1-5 against every pi of length 1-6 (only the
+    sum-decomposable pi when asked), grouped by pi."""
+    sigmas = [Permutation(v) for n in range(1, 6) for v in all_perm_tuples(n)]
+    for n in range(1, 7):
+        for vals in all_perm_tuples(n):
+            pi = Permutation(vals)
+            if not (decomposable_only and is_sum_indecomposable(pi)):
+                yield pi, sigmas
+
+
+@pytest.mark.parametrize("name", ["auto", "general"])
+def test_every_short_pair_equals_the_oracle_contained_or_not(name):
+    # The component recursions and the fast path decide containment
+    # themselves, so a sigma outside pi must come out of them as 0.
+    engine = MobiusEngine()
+    for pi, sigmas in _short_pairs():
+        column = {s.values: v for s, v in mobius_naive_column(pi).items()}
+        for sigma in sigmas:
+            assert engine.mobius(sigma, pi, name) == column.get(sigma.values, 0), (
+                sigma,
+                pi,
+            )
+
+
+def test_decomposable_and_oscillation_routes_never_ask_the_matcher(monkeypatch):
+    calls = _count_every_binding(monkeypatch, perms.contains)
+    for pi, sigmas in _short_pairs(decomposable_only=True):
+        for sigma in sigmas:
+            for name in ("auto", "general"):
+                route = engine_module._query_route(sigma, pi, name)[0]
+                assert route in ("direct", "prop1", "cor3", "prop2"), (sigma, pi)
+    # auto reads every short indecomposable component from its context
+    engine = MobiusEngine()
+    for pi, sigmas in _short_pairs(decomposable_only=True):
+        for sigma in sigmas:
+            engine.mobius(sigma, pi)
+    # components of length <= 3 are skew-decomposable, so general reaches
+    # them by the complement rule
+    pi = iterated_sum(P("231"), 4)
+    for n in range(1, 6):
+        for vals in all_perm_tuples(n):
+            MobiusEngine().mobius(Permutation(vals), pi, "general")
+    # every shorter oscillation is contained, so the fast path is asked
+    engine = MobiusEngine()
+    w5, w40 = oscillation(OscillationId("W", 5)), oscillation(OscillationId("W", 40))
+    assert engine.mobius(w5, w40) == -161
+    assert engine.mobius(ONE, oscillation(OscillationId("M", 300))) == -22500
+    assert calls == []
+
+
+def test_the_oscillation_engine_still_asks_the_matcher(monkeypatch):
+    calls = _count_every_binding(monkeypatch, perms.contains)
+    engine = MobiusEngine()
+    assert engine.mobius(P("123"), P("2413"), "oscillation") == 0
+    assert calls == [(P("123"), P("2413"))]
+    with pytest.raises(NotAnOscillation):
+        engine.mobius(ONE, P("2143"), "oscillation")
+    assert calls[1:] == [(ONE, P("2143"))]
+
+
+@pytest.mark.parametrize("name", ["auto", "general"])
+def test_a_long_identity_sum_is_answered_without_a_quadratic_search(name):
+    pi = direct_sum(Permutation(range(1, 20001)), TWO_ONE)
+    start = time.perf_counter()
+    assert MobiusEngine().mobius(TWO_ONE, pi, name) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_pairs_of_a_long_near_identity_downset_all_finish():
+    pi = direct_sum(Permutation(range(1, 130)), P("2413"))
+    members = [p for group in downset(pi).values() for p in group]
+    assert len(members) == 783
+    rng = random.Random(129)
+    pairs = [sorted(rng.sample(members, 2), key=len) for _ in range(200)]
+    start = time.perf_counter()
+    auto = [MobiusEngine().mobius(sigma, tau) for sigma, tau in pairs]
+    general = [MobiusEngine().mobius(sigma, tau, "general") for sigma, tau in pairs]
+    assert time.perf_counter() - start < 5.0
+    # the two engines answer an indecomposable leaf by different routes
+    assert auto == general
+
+
+def test_long_sums_keep_mu_under_inverse_and_reverse_complement():
+    # Reverse-complement reverses the component order, so the component
+    # recursions see other heads; no oracle reaches these lengths.
+    rng = random.Random(8)
+    engine = MobiusEngine()
+    nonzero = 0
+    for _ in range(150):
+        pi = EMPTY
+        for _ in range(rng.randint(6, 16)):
+            vals = list(range(1, rng.randint(1, 6) + 1))
+            rng.shuffle(vals)
+            pi = direct_sum(pi, Permutation(vals))
+        keep = sorted(rng.sample(range(len(pi)), len(pi) - rng.randint(2, 5)))
+        sigma = Permutation(standardize_ref(tuple(pi.values[i] for i in keep)))
+        value = engine.mobius(sigma, pi)
+        assert engine.mobius(inverse(sigma), inverse(pi)) == value, (sigma, pi)
+        rc_sigma, rc_pi = reverse(complement(sigma)), reverse(complement(pi))
+        assert engine.mobius(rc_sigma, rc_pi) == value, (sigma, pi)
+        nonzero += value != 0
+    assert nonzero > 100
 
 
 def test_theorem_terms_carry_the_values_of_the_theorem_solve(engine):

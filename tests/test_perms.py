@@ -20,6 +20,7 @@ from permmobius import (
     NotAPermutation,
     OscillationId,
     Permutation,
+    PiClass,
     Shape,
     classify_oscillation,
     complement,
@@ -326,6 +327,30 @@ def test_oscillation_id_takes_a_numpy_integer_length():
     assert id == OscillationId("W", 5)
     assert type(id.n) is int
     assert oscillation(id) == oscillation(OscillationId("W", 5))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Shape("Plain", 2.5),
+        lambda: Shape("Plain", "3"),
+        lambda: Shape("LeftCapped", True),
+        lambda: PiClass("W_even", 2.5),
+        lambda: PiClass("W_even", "3"),
+        lambda: PiClass("W_even", True),
+        lambda: OscillationId("W", True),
+    ],
+)
+def test_shape_parameters_refuse_non_integers_and_bools(make):
+    with pytest.raises(InvalidShape):
+        make()
+
+
+def test_shape_parameters_store_a_numpy_integer_as_an_int():
+    shape = Shape("Plain", np.int64(3))
+    assert shape == Shape("Plain", 3)
+    assert type(shape.k) is int
+    assert type(PiClass("W_even", np.int64(3)).n) is int
 
 
 def test_is_increasing_oscillation_membership():
