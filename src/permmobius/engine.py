@@ -5,8 +5,8 @@
 the engine it names; the value cache keeps each value under its engine.
 Decomposable upper bounds are reduced by the component recursions (the
 methods ``mobius_prop1`` / ``mobius_prop2`` / ``mobius_cor3``), whose sums
-of products vanish unless sigma embeds in pi, so they decide containment
-themselves.  On an indecomposable upper bound, ``auto`` takes the
+of products vanish unless sigma embeds in pi, so when every component of
+pi has a downset context they decide containment themselves.  On an indecomposable upper bound, ``auto`` takes the
 inequality-only fast path for an increasing oscillation (every shorter
 one is contained) and otherwise reads the oracle's column of pi's
 downset context, whose index answers whether sigma is contained.  Past
@@ -14,9 +14,8 @@ that, one complement rule covers the skew half: complement keeps mu and
 turns skew sums into direct sums, so a skew-decomposable pi (and, under
 ``general``, a sum-decomposable sigma; under ``auto``, a pair whose
 complement is an oscillation route) is answered as mu(sigma^c, pi^c).
-The containment matcher is asked only about a sum- and
-skew-indecomposable pi that none of these answers, and on every query of
-``--engine oscillation``.  The route rule and the recursions read pi's
+The containment matcher is asked about every other pair, and on every
+query of ``--engine oscillation``.  The route rule and the recursions read pi's
 components and cuts from one bounded store keyed by values
 (``perms.sum_decompose``).
 
@@ -52,6 +51,7 @@ from .oscillation_fast import mobius_oscillation
 from .perms import (
     OscillationId,
     Permutation,
+    SumDecomposition,
     _family_values,
     _iterated_sum_values,
     complement,
@@ -534,22 +534,24 @@ def _query_route(
     "complement" route.
 
     After the checks on the values alone, every engine but naive and
-    oscillation lets the route that answers the pair decide containment
-    too.  A sum-decomposable pi takes a component recursion (prop1, cor3
-    or prop2), whose sums of products vanish unless sigma embeds in pi.
-    On a sum-indecomposable pi, auto takes the fast path when the pair is
-    an oscillation route (every shorter oscillation is contained, and the
-    fast path answers covering pairs), and otherwise the oracle when pi's
-    context cannot be refused (2^|pi| patterns at most): the context's
-    index answers every sigma.  Past that, auto and general take the
-    complement rule: complement keeps mu and swaps sum and skew sums, so a
-    skew-decomposable pi (and, under general, a sum-decomposable sigma;
-    under auto, a pair whose complement is an oscillation route, such as 1
-    below the reverse of W_n) is answered as mu(sigma^c, pi^c) on the same
-    engine.  pi^c is then sum-decomposable, or an oscillation route, or
-    both pi^c and sigma^c are sum-indecomposable, so the rule is not taken
-    twice.  Only a sum- and skew-indecomposable pi that none of these
-    answers, and every query under --engine oscillation, asks the matcher
+    oscillation lets the route that answers the pair decide containment too.
+    A sum-decomposable pi whose components all have contexts takes a
+    component recursion (prop1, cor3 or prop2), whose sums of products
+    vanish unless sigma embeds in pi; a longer component could be asked
+    about a part of a sigma that is not contained, and would need its own
+    context, so such a pi asks the matcher first.  On a sum-indecomposable
+    pi, auto takes the fast path when the pair is an oscillation route
+    (every shorter oscillation is contained, and the fast path answers
+    covering pairs), and otherwise the oracle when pi's context cannot be
+    refused (2^|pi| patterns at most): the context's index answers every
+    sigma.  Past that, auto and general take the complement rule: complement
+    keeps mu and swaps sum and skew sums, so a skew-decomposable pi (and,
+    under general, a sum-decomposable sigma; under auto, a pair whose
+    complement is an oscillation route, such as 1 below the reverse of W_n)
+    is answered as mu(sigma^c, pi^c) on the same engine.  pi^c is then
+    sum-decomposable, or an oscillation route, or both pi^c and sigma^c are
+    sum-indecomposable, so the rule is not taken twice.  Every other query,
+    and every query under --engine oscillation, asks the matcher first
     (_direct_value)."""
     if engine == "naive":
         return "naive", None
@@ -561,38 +563,54 @@ def _query_route(
         return "direct", 0
     if slen == 0:
         return "direct", -1 if plen == 1 else 0
+    dec = sum_decompose(pi)
     if engine != "oscillation":
-        dec = sum_decompose(pi)
         if len(dec.cuts) > 1:
-            if dec.cuts[0] == 1:
-                return "prop1", None
-            if len(sum_decompose(sigma).cuts) == 1:
-                return "cor3", None
-            return "prop2", None
-        if engine == "auto":
-            pi_id = _oscillation_route(sigma, pi)
-            if pi_id is not None:
-                return "oscillation", pi_id
-            if 1 << plen <= poset.MAX_DOWNSET_MEMBERS:
-                return "naive", None
-        pi_c = complement(pi)
-        if (
-            len(sum_decompose(pi_c).cuts) > 1
-            or (engine == "general" and len(sum_decompose(sigma).cuts) > 1)
-            or (
-                engine == "auto"
-                and _oscillation_route(complement(sigma), pi_c) is not None
-            )
-        ):
-            return "complement", pi_c
+            if all(_has_context(c) for c in dec.components):
+                return _component_route(sigma, dec)
+        else:
+            if engine == "auto":
+                pi_id = _oscillation_route(sigma, pi)
+                if pi_id is not None:
+                    return "oscillation", pi_id
+                if _has_context(pi):
+                    return "naive", None
+            pi_c = complement(pi)
+            if (
+                len(sum_decompose(pi_c).cuts) > 1
+                or (engine == "general" and len(sum_decompose(sigma).cuts) > 1)
+                or (
+                    engine == "auto"
+                    and _oscillation_route(complement(sigma), pi_c) is not None
+                )
+            ):
+                return "complement", pi_c
     value = _direct_value(sigma, pi)
     if value is not None:
         return "direct", value
     if engine == "oscillation":
         return "oscillation", pi
+    if len(dec.cuts) > 1:
+        return _component_route(sigma, dec)
     # The theorem would build pi's context and a table on top of it; auto's
     # oracle reads the same context's column.
     return ("naive", None) if engine == "auto" else ("theorem", None)
+
+
+def _has_context(pi: Permutation) -> bool:
+    """Whether pi's downset context cannot be refused: pi has at most
+    2^|pi| patterns, and that is within poset.MAX_DOWNSET_MEMBERS."""
+    return 1 << len(pi.values) <= poset.MAX_DOWNSET_MEMBERS
+
+
+def _component_route(sigma: Permutation, dec: SumDecomposition) -> tuple[str, None]:
+    """The component recursion for a sum-decomposable pi (dec is pi's
+    decomposition)."""
+    if dec.cuts[0] == 1:
+        return "prop1", None
+    if len(sum_decompose(sigma).cuts) == 1:
+        return "cor3", None
+    return "prop2", None
 
 
 def _oscillation_route(sigma: Permutation, pi: Permutation) -> Optional[OscillationId]:

@@ -667,6 +667,14 @@ def test_long_upper_bounds_ask_the_matcher_before_any_context():
     sigma = Permutation(range(max(longest) + 1, 0, -1))
     assert not contains(sigma, pi)
     assert MobiusEngine().mobius(sigma, pi) == 0
+    # On the direct sum of pi and 1, prop2 would ask mu(1, pi), which needs
+    # pi's context; the chain is sum-indecomposable, so the direct sum of 1
+    # and the chain is not contained.
+    assert is_sum_indecomposable(pi)
+    for name in ("auto", "general"):
+        pair = direct_sum(ONE, sigma), direct_sum(pi, ONE)
+        assert engine_module._query_route(*pair, name) == ("direct", 0)
+        assert MobiusEngine().mobius(*pair, name) == 0
 
 
 def _short_pairs(decomposable_only: bool = False):
@@ -681,9 +689,10 @@ def _short_pairs(decomposable_only: bool = False):
 
 
 @pytest.mark.parametrize("name", ["auto", "general"])
-def test_every_short_pair_equals_the_oracle_contained_or_not(name):
+def test_every_short_pair_equals_the_oracle_contained_or_not(monkeypatch, name):
     # The component recursions and the fast path decide containment
     # themselves, so a sigma outside pi must come out of them as 0.
+    calls = _count_every_binding(monkeypatch, perms.contains)
     engine = MobiusEngine()
     for pi, sigmas in _short_pairs():
         column = {s.values: v for s, v in mobius_naive_column(pi).items()}
@@ -692,6 +701,10 @@ def test_every_short_pair_equals_the_oracle_contained_or_not(name):
                 sigma,
                 pi,
             )
+    # auto reads every short indecomposable pi from its context; general
+    # asks the matcher only about an indecomposable pi or component
+    assert all(is_sum_indecomposable(pi) for _, pi in calls)
+    assert name == "general" or calls == []
 
 
 def test_decomposable_and_oscillation_routes_never_ask_the_matcher(monkeypatch):
@@ -701,11 +714,6 @@ def test_decomposable_and_oscillation_routes_never_ask_the_matcher(monkeypatch):
             for name in ("auto", "general"):
                 route = engine_module._query_route(sigma, pi, name)[0]
                 assert route in ("direct", "prop1", "cor3", "prop2"), (sigma, pi)
-    # auto reads every short indecomposable component from its context
-    engine = MobiusEngine()
-    for pi, sigmas in _short_pairs(decomposable_only=True):
-        for sigma in sigmas:
-            engine.mobius(sigma, pi)
     # components of length <= 3 are skew-decomposable, so general reaches
     # them by the complement rule
     pi = iterated_sum(P("231"), 4)
