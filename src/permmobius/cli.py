@@ -26,7 +26,7 @@ from .analysis import (
 from .engine import ENGINE_NAMES, MobiusEngine, _oscillation_route, _query_route
 from .errors import MobiusError, NotAPermutation, RangeError
 from .oscillation_fast import principal_mu_series, trace_oscillation
-from .perms import Permutation, complement, parse_permutation
+from .perms import Permutation, complement, parse_permutation, sum_decompose
 from .poset import downset, interval, mobius_naive_column
 
 __all__ = ["main", "build_parser"]
@@ -152,7 +152,8 @@ def _cmd_mobius(args: argparse.Namespace) -> tuple[list[str], int]:
                     f"alpha={wc.alpha} r={wc.r} weight={wc.weight} mu={mu_sa}"
                 )
         elif args.engine == "oscillation" or (
-            args.engine == "auto" and _oscillation_route(lower, upper) is not None
+            args.engine == "auto"
+            and _oscillation_route(lower, sum_decompose(upper)) is not None
         ):
             # The fast path's tables, printed also for a pair that the
             # dispatcher answers directly (sigma = pi, or a covering pair

@@ -2,11 +2,17 @@
 
 ``MobiusEngine.mobius(sigma, pi, engine)`` routes each query by one rule
 (``_query_route``), and every route and sub-query of that query runs on
-the engine it names; the value cache keeps each value under its engine.
+the engine it names.  Each value is kept once, in the store that owns it:
+the value cache keeps, under its engine, the values that a component
+recursion, the theorem or the fast path computed, and an oracle value
+stays in its upper bound's downset context (``poset._downset_ctx``), which
+holds the whole column.
+
 Decomposable upper bounds are reduced by the component recursions (the
 methods ``mobius_prop1`` / ``mobius_prop2`` / ``mobius_cor3``), whose sums
 of products vanish unless sigma embeds in pi, so when every component of
-pi has a downset context they decide containment themselves.  On an indecomposable upper bound, ``auto`` takes the
+pi has a downset context they decide containment themselves.  On an
+indecomposable upper bound, ``auto`` takes the
 inequality-only fast path for an increasing oscillation (every shorter
 one is contained) and otherwise reads the oracle's column of pi's
 downset context, whose index answers whether sigma is contained.  Past
@@ -17,7 +23,10 @@ complement is an oscillation route) is answered as mu(sigma^c, pi^c).
 The containment matcher is asked about every other pair, and on every
 query of ``--engine oscillation``.  The route rule and the recursions read pi's
 components and cuts from one bounded store keyed by values
-(``perms.sum_decompose``).
+(``perms.sum_decompose``), whose entry for pi also keeps what the route rule
+and the recursions ask of pi: its longest component, how many components
+in a row equal its first and, when pi is sum-indecomposable, its
+oscillation id.
 
 The ``general`` engine answers a sum-indecomposable sigma below a sum- and
 skew-indecomposable pi by the paper's weighted contributing-set recursion
@@ -29,7 +38,8 @@ alpha the recursion reaches lies in pi's downset, so it is solved inside
 pi's one downset context (``_Table``), with no value cache and no other
 route.  The table is built by one gather over the context's order bits,
 unpacked a block of rows at a time, and kept in the context's ``table``
-slot, so it is bounded and evicted with the contexts themselves.  One
+slot, so it is counted against the context store's byte budget and
+evicted with its context.  One
 walker, ``_family``, looks up a candidate's capped-tower family, and one
 helper, ``_ranks_and_weights``, turns the family's bits into ranks and
 weights, for the table (bits from the context's order) and for
@@ -63,7 +73,7 @@ from .perms import (
     sum_decompose,
 )
 from . import poset
-from .poset import DownsetContext, _downset_ctx, mobius_naive
+from .poset import _INT_BYTES, _ITEM_BYTES, DownsetContext, _downset_ctx, mobius_naive
 
 __all__ = [
     "MobiusCache",
@@ -79,12 +89,12 @@ ENGINE_NAMES = ("auto", "naive", "general", "oscillation")
 
 # The value cache's budget, in bytes.
 _CACHE_BYTES = 256 * 1024 * 1024
-# sys.getsizeof of a tuple of k items is sys.getsizeof(()) + k * _ITEM_BYTES.
-_ITEM_BYTES = sys.getsizeof((0,)) - sys.getsizeof(())
 # An entry's bytes but for its points: its three tuples (the key holds three
 # items; the engine name is shared) and about 100 bytes for the dict slot,
 # the order link and the value, as tracemalloc reads them at |pi| = 12 and 40.
 _ENTRY_BYTES = 3 * sys.getsizeof(()) + 3 * _ITEM_BYTES + 100
+# A table's (row, weight) pair.
+_PAIR_BYTES = sys.getsizeof((0, 0))
 
 
 _Key = tuple[tuple[int, ...], tuple[int, ...], str]
@@ -94,7 +104,9 @@ _K = TypeVar("_K")
 class MobiusCache:
     """LRU value cache keyed by (lower values, upper values, engine name),
     bounded in bytes (_CACHE_BYTES): an entry costs the sys.getsizeof of its
-    key tuple and its two value tuples plus a fixed overhead."""
+    key tuple and its two value tuples plus a fixed overhead.  It keeps the
+    values of the component recursions, the theorem and the fast path; an
+    oracle value is read from its context's column instead."""
 
     def __init__(self):
         self._entries: OrderedDict[_Key, int] = OrderedDict()
@@ -239,7 +251,7 @@ class _Table:
     up to the rows above b and touches only the entries above sigma.
     """
 
-    __slots__ = ("top", "top_row", "_base", "_rowmask", "_columns")
+    __slots__ = ("top", "top_row", "_base", "_rowmask", "_columns", "nbytes")
 
     def __init__(self, ctx: DownsetContext):
         members = ctx.members
@@ -267,6 +279,7 @@ class _Table:
         rows = np.array([a for a in np.flatnonzero(rowmask).tolist() if a not in base])
         step = max(1, _GATHER_BITS // (4 * width * max(len(cands), 1)))
         self._columns = columns = {}
+        big = 0  # the pairs whose row is an int of its own (past 256)
         for lo in range(0, len(rows), step):
             block = rows[lo : lo + step]
             strict = ctx.rows(block)
@@ -277,12 +290,26 @@ class _Table:
             a_s, b_s = block[ia[keep]], cands[ib[keep]]
             for a, b, w in zip(a_s.tolist(), b_s.tolist(), weights[keep].tolist()):
                 columns.setdefault(b, []).append((a, w))
+            big += int(np.count_nonzero(a_s > 256))
         # The top is the last row, so the last block holds its pairs.
         mine = a_s == top
         self.top_row = (
             b_s[mine].tolist(),
             tuple(ranks[keep[mine]].tolist()),
             tuple(weights[keep[mine]].tolist()),
+        )
+        # What the table holds, by sys.getsizeof, for the context store's
+        # budget: a (row, weight) tuple per pair, the column lists that hold
+        # them, the row mask, the closed forms and the top's row.
+        pairs = sum(map(len, columns.values()))
+        self.nbytes = (
+            pairs * _PAIR_BYTES
+            + big * _INT_BYTES
+            + sys.getsizeof(columns)
+            + sum(map(sys.getsizeof, columns.values()))
+            + sys.getsizeof(rowmask)
+            + sys.getsizeof(base)
+            + sum(map(sys.getsizeof, self.top_row))
         )
 
     def solve(self, ctx: DownsetContext, sidx: int) -> list[int]:
@@ -372,16 +399,6 @@ class MobiusEngine:
 
     # -- component recursions ---------------------------------------------
 
-    @staticmethod
-    def _leading_count(components, head: Permutation) -> int:
-        count = 0
-        for comp in components:
-            if comp == head:
-                count += 1
-            else:
-                break
-        return count
-
     def mobius_prop1(
         self, sigma: Permutation, pi: Permutation, engine: str = "auto"
     ) -> int:
@@ -395,9 +412,8 @@ class MobiusEngine:
                 "upper bound must be decomposable with first component 1"
             )
         dec_sigma = sum_decompose(sigma)
-        one = dec_pi.components[0]
-        k = self._leading_count(dec_pi.components, one)
-        l = self._leading_count(dec_sigma.components, one)
+        k = dec_pi.lead
+        l = dec_sigma.lead if dec_sigma.cuts[0] == 1 else 0
         pi_tail = dec_pi.suffix(k)
         if k - 1 > l:
             return 0
@@ -418,16 +434,22 @@ class MobiusEngine:
                 "upper bound must be decomposable with first component != 1"
             )
         head = dec_pi.components[0]
-        k = self._leading_count(dec_pi.components, head)
+        k = dec_pi.lead
         dec_sigma = sum_decompose(sigma)
-        m = len(dec_sigma.components)
+        hlen, slen, plen = len(head.values), len(sigma.values), len(pi.values)
         total = 0
-        for i in range(1, m + 1):
+        # A pattern longer than its upper bound has mu 0: the sigma prefixes
+        # only grow, and the pi suffixes only shrink.
+        for i, cut in enumerate(dec_sigma.cuts, start=1):
+            if cut > hlen:
+                break
             left = self.mobius(dec_sigma.prefix(i), head, engine)
             if left == 0:
                 continue
             right_sigma = dec_sigma.suffix(i)
             for j in range(1, k + 1):
+                if slen - cut > plen - dec_pi.cuts[j - 1]:
+                    break
                 total += left * self.mobius(right_sigma, dec_pi.suffix(j), engine)
         return total
 
@@ -444,11 +466,11 @@ class MobiusEngine:
                 "upper bound must be decomposable with first component != 1"
             )
         comps = dec_pi.components
-        head = comps[0]
-        if all(c == head for c in comps):
-            return self.mobius(sigma, head, engine)
-        if comps[-1].values == (1,) and all(c == head for c in comps[:-1]):
-            return -self.mobius(sigma, head, engine)
+        rest = len(comps) - dec_pi.lead  # the components past the head's run
+        if rest == 0:
+            return self.mobius(sigma, comps[0], engine)
+        if rest == 1 and comps[-1].values == (1,):
+            return -self.mobius(sigma, comps[0], engine)
         return 0
 
     # -- contributing-set recursion ----------------------------------------
@@ -486,6 +508,9 @@ class MobiusEngine:
         route, target = _query_route(sigma, pi, engine)
         if route == "direct":
             return target
+        if route == "naive":
+            # The oracle's value stays in pi's context, which holds the column.
+            return mobius_naive(sigma, pi)
         value = self._route(sigma, pi, engine, route, target)
         self.cache.put(key, value)
         return value
@@ -503,9 +528,7 @@ class MobiusEngine:
             return self.mobius_cor3(sigma, pi, engine)
         if route == "prop2":
             return self.mobius_prop2(sigma, pi, engine)
-        if route == "theorem":
-            return self.mobius_theorem(sigma, pi)
-        return mobius_naive(sigma, pi)
+        return self.mobius_theorem(sigma, pi)
 
 
 def _direct_value(sigma: Permutation, pi: Permutation) -> Optional[int]:
@@ -555,7 +578,7 @@ def _query_route(
     (_direct_value)."""
     if engine == "naive":
         return "naive", None
-    if sigma == pi:
+    if sigma.values == pi.values:
         return "direct", 1
     slen = len(sigma.values)
     plen = len(pi.values)
@@ -566,22 +589,23 @@ def _query_route(
     dec = sum_decompose(pi)
     if engine != "oscillation":
         if len(dec.cuts) > 1:
-            if all(_has_context(c) for c in dec.components):
+            if _has_context(dec):
                 return _component_route(sigma, dec)
         else:
             if engine == "auto":
-                pi_id = _oscillation_route(sigma, pi)
+                pi_id = _oscillation_route(sigma, dec)
                 if pi_id is not None:
                     return "oscillation", pi_id
-                if _has_context(pi):
+                if _has_context(dec):
                     return "naive", None
             pi_c = complement(pi)
+            dec_c = sum_decompose(pi_c)
             if (
-                len(sum_decompose(pi_c).cuts) > 1
+                len(dec_c.cuts) > 1
                 or (engine == "general" and len(sum_decompose(sigma).cuts) > 1)
                 or (
                     engine == "auto"
-                    and _oscillation_route(complement(sigma), pi_c) is not None
+                    and _oscillation_route(complement(sigma), dec_c) is not None
                 )
             ):
                 return "complement", pi_c
@@ -597,10 +621,12 @@ def _query_route(
     return ("naive", None) if engine == "auto" else ("theorem", None)
 
 
-def _has_context(pi: Permutation) -> bool:
-    """Whether pi's downset context cannot be refused: pi has at most
-    2^|pi| patterns, and that is within poset.MAX_DOWNSET_MEMBERS."""
-    return 1 << len(pi.values) <= poset.MAX_DOWNSET_MEMBERS
+def _has_context(dec: SumDecomposition) -> bool:
+    """Whether no component of the decomposed permutation can have its
+    downset context refused: a component of length k has at most 2^k
+    patterns, and that is within poset.MAX_DOWNSET_MEMBERS for the longest
+    (read on each call, as the bound may change)."""
+    return 1 << dec.longest <= poset.MAX_DOWNSET_MEMBERS
 
 
 def _component_route(sigma: Permutation, dec: SumDecomposition) -> tuple[str, None]:
@@ -613,10 +639,13 @@ def _component_route(sigma: Permutation, dec: SumDecomposition) -> tuple[str, No
     return "prop2", None
 
 
-def _oscillation_route(sigma: Permutation, pi: Permutation) -> Optional[OscillationId]:
+def _oscillation_route(
+    sigma: Permutation, dec: SumDecomposition
+) -> Optional[OscillationId]:
     """The route rule of the oscillation fast path: pi's OscillationId when
-    pi is W_n / M_n with n >= 2 and sigma is 1 or an oscillation, else None."""
-    pi_id = oscillation_id(pi)
+    pi (dec is its decomposition, which keeps the id) is W_n / M_n with
+    n >= 2 and sigma is 1 or an oscillation, else None."""
+    pi_id = dec.oscillation
     if pi_id is None or pi_id.n < 2 or oscillation_id(sigma) is None:
         return None
     return pi_id

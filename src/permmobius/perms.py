@@ -444,14 +444,21 @@ def is_increasing_oscillation(pi: Permutation) -> bool:
 class SumDecomposition:
     """Maximal decomposition into sum-indecomposable components.
 
-    ``cuts`` are the end positions (1-based) of the components.  A prefix
-    or suffix is built when first asked for and kept while the kept ones
-    hold at most as many points as the decomposed permutation, so an entry
-    stays O(|pi|) however many are asked for.  Entries are shared through
-    the store, so they are immutable.
+    ``cuts`` are the end positions (1-based) of the components,
+    ``longest`` is the length of the longest one, and ``lead`` is how many
+    components in a row, from the first, equal the first.  ``oscillation`` is the
+    oscillation_id of a sum-indecomposable permutation, and None for a
+    sum-decomposable one, as no oscillation is.  A prefix or suffix is
+    built when first asked for and kept while the kept ones hold at most as
+    many points as the decomposed permutation, so an entry stays O(|pi|)
+    however many are asked for.  Entries are shared through the store, so
+    they are immutable.
     """
 
-    __slots__ = ("values", "cuts", "components", "_parts", "_room")
+    __slots__ = (
+        "values", "cuts", "components", "longest", "lead", "oscillation",
+        "_parts", "_room",
+    )
 
     def __init__(self, vals: tuple[int, ...]):
         cuts = []
@@ -472,6 +479,14 @@ class SumDecomposition:
         set_(self, "values", vals)
         set_(self, "cuts", tuple(cuts))
         set_(self, "components", tuple(comps))
+        set_(self, "longest", max(map(operator.sub, cuts, [0, *cuts]), default=0))
+        lead = 0
+        for comp in comps:
+            if comp.values != comps[0].values:
+                break
+            lead += 1
+        set_(self, "lead", lead)
+        set_(self, "oscillation", oscillation_id(comps[0]) if len(comps) == 1 else None)
         set_(self, "_parts", {})  # suffix i at i, prefix i at ~i
         set_(self, "_room", len(vals))
 

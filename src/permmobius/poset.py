@@ -20,15 +20,22 @@ while the build enumerates.
 The order is kept as packed bits, one bit for each pair of members (m^2 / 8
 bytes for m members), and the solves unpack it one bounded band of levels
 at a time (``_BAND_BYTES``), so no m x m array outlives a build or a solve.
+
+Contexts live in one store keyed by the upper bound's values
+(``_downset_ctx``): an LRU bounded in bytes (``_CONTEXT_BYTES``), where each
+context counts its packed order, its members with their index, its column
+and the table the general engine attaches to it.  The oracle's values live
+only there: the engine's value cache does not copy them.
 """
 
 from __future__ import annotations
 
+import sys
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from operator import add, or_
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +72,18 @@ _BIT = tuple(
     .view(np.int8)
 )
 
+# sys.getsizeof of a tuple of k items is sys.getsizeof(()) + k * _ITEM_BYTES.
+_ITEM_BYTES = sys.getsizeof((0,)) - sys.getsizeof(())
+# An int past the small ints, which Python shares.
+_INT_BYTES = sys.getsizeof(1 << 20)
+# An int64 array but for its data.
+_ARRAY_BYTES = sys.getsizeof(np.zeros(0, dtype=np.int64))
+# A member but for its values: the Permutation, its hash and its values
+# tuple's header.
+_MEMBER_BYTES = (
+    sys.getsizeof(Permutation._wrap(())) + sys.getsizeof(hash((1, 2))) + sys.getsizeof(())
+)
+
 
 class DownsetContext:
     """Downset of a fixed upper bound with containment structure solved once.
@@ -82,10 +101,13 @@ class DownsetContext:
 
     ``table`` is the general engine's slot: it holds the contributing-set
     table of pi that the engine builds, so the table lives and goes with
-    this context (None until then).
+    this context (None until then).  The table tells its own size
+    (``table.nbytes``), which ``nbytes()`` counts.
     """
 
-    __slots__ = ("pi", "members", "index", "bits", "groups", "_column", "table")
+    __slots__ = (
+        "pi", "members", "index", "bits", "groups", "_column", "table", "_nbytes"
+    )
 
     def __init__(self, pi: Permutation):
         n = len(pi.values)
@@ -151,6 +173,34 @@ class DownsetContext:
         self.groups = groups
         self._column = None
         self.table = None
+        # What the context holds, for the context store.  The packed order
+        # is a view of a flat array over one bytes object, and the column
+        # is counted from the build, as nearly every context is solved.
+        # The index's positions past 256 are ints of their own, and so are
+        # the members' values past 256.
+        self._nbytes = (
+            sys.getsizeof(self)
+            + sum(map(sys.getsizeof, (bits, bits.base, bits.base.base)))
+            + _ARRAY_BYTES
+            + 8 * m
+            + sys.getsizeof(groups)
+            + len(groups) * sys.getsizeof((0, 0, 0))
+            + sys.getsizeof(members)
+            + sys.getsizeof(self.index)
+            + m * _MEMBER_BYTES
+            + _ITEM_BYTES * sum(map(len, values))
+            + _INT_BYTES * max(0, m - 257)
+        )
+        if n > 256:
+            self._nbytes += _INT_BYTES * sum(
+                (end - start) * max(0, length - 256) for length, start, end in groups
+            )
+
+    def nbytes(self) -> int:
+        """The bytes this context holds, by sys.getsizeof: its packed
+        order, its members with their index, its column and its table."""
+        table = self.table
+        return self._nbytes if table is None else self._nbytes + table.nbytes
 
     def above(self, sidx: int) -> np.ndarray:
         """One bit column as int8 0/1: entry j is 1 exactly when member
@@ -300,9 +350,101 @@ def _expand_level(
     return parts, below
 
 
-@lru_cache(maxsize=64)
+# The context store's budget, in bytes.  A pass over every upper bound of
+# length <= 6 keeps 4.5 MB of contexts with their columns; a context at the
+# member bound holds about 3 MB with its column, and more with a table.
+_CONTEXT_BYTES = 64 << 20
+
+
+class _CacheInfo(NamedTuple):
+    """The context store's counts, named as functools' cache_info names
+    them, and the bytes it counts."""
+
+    hits: int
+    misses: int
+    currsize: int
+    bytes: int
+
+
+class _ContextStore:
+    """Downset contexts keyed by their upper bound's values: an LRU bounded
+    in bytes (_CONTEXT_BYTES), each context counted by its nbytes().
+
+    A context gains its table after the lookup that returned it, so the
+    context returned last is counted again, once it holds a table, at the
+    next lookup of another upper bound (and at info()).  The least
+    recently used are evicted while the count is over budget; the context
+    returned last is never evicted, so one larger than the budget is kept
+    until the next.
+    """
+
+    __slots__ = ("entries", "costs", "nbytes", "current", "hits", "misses")
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.entries: OrderedDict[tuple[int, ...], DownsetContext] = OrderedDict()
+        self.costs: dict[tuple[int, ...], int] = {}
+        self.nbytes = 0
+        self.current: DownsetContext | None = None
+        self.hits = self.misses = 0
+
+    def info(self) -> _CacheInfo:
+        current = self.current
+        if current is not None and current.table is not None:
+            self._count(current)
+        return _CacheInfo(self.hits, self.misses, len(self.entries), self.nbytes)
+
+    def get(self, pi: Permutation) -> DownsetContext:
+        key = pi.values
+        current = self.current
+        if current is not None:
+            if current.pi.values == key:
+                self.hits += 1
+                return current
+            if current.table is not None:
+                self._count(current)
+        entries = self.entries
+        ctx = entries.get(key)
+        if ctx is None:
+            # A refused build counts as a miss, as in functools' lru_cache.
+            self.misses += 1
+            ctx = DownsetContext(pi)
+            entries[key] = ctx
+            self._count(ctx)
+        else:
+            self.hits += 1
+            entries.move_to_end(key)
+        self.current = ctx
+        return ctx
+
+    def _count(self, ctx: DownsetContext) -> None:
+        """Count ctx, the most recently used, again, then evict the least
+        recently used while over budget."""
+        key = ctx.pi.values
+        costs = self.costs
+        cost = ctx.nbytes()
+        self.nbytes += cost - costs.get(key, 0)
+        costs[key] = cost
+        entries = self.entries
+        while self.nbytes > _CONTEXT_BYTES and len(entries) > 1:
+            old, _ = entries.popitem(last=False)
+            self.nbytes -= costs.pop(old)
+
+
+_contexts = _ContextStore()
+
+
 def _downset_ctx(pi: Permutation) -> DownsetContext:
-    return DownsetContext(pi)
+    """pi's downset context, from the one context store (built on a miss).
+    ``cache_info()`` and ``cache_clear()`` read and empty the store, as they
+    do an lru_cache."""
+    return _contexts.get(pi)
+
+
+_downset_ctx.cache_info = _contexts.info
+_downset_ctx.cache_clear = _contexts.clear
 
 
 def downset(pi: Permutation) -> dict[int, tuple[Permutation, ...]]:
@@ -362,7 +504,7 @@ def mobius_naive(sigma: Permutation, pi: Permutation) -> int:
     """Exact Möbius value of the interval [sigma, pi] by the defining sum."""
     ctx = _downset_ctx(pi)
     sidx = ctx.index.get(sigma.values)
-    return 0 if sidx is None else int(ctx.column()[sidx])
+    return 0 if sidx is None else ctx.column().item(sidx)
 
 
 def mobius_naive_column(pi: Permutation) -> dict[Permutation, int]:

@@ -272,6 +272,18 @@ def test_cor3_agrees_with_prop2_for_indecomposable_lower_bounds(engine):
                 ), (sigma, pi)
 
 
+def test_prop2_asks_no_sub_query_longer_than_its_upper_bound(monkeypatch):
+    # pi = 21 + 312 + 1: sigma = 123's third prefix is longer than the head
+    sigma, pi = P("123"), P("215346")
+    head = P("21")
+    assert engine_module._query_route(sigma, pi, "auto")[0] == "prop2"
+    calls = _count_calls(monkeypatch, MobiusEngine, "mobius")
+    assert MobiusEngine().mobius(sigma, pi) == mobius_naive(sigma, pi) == -2
+    assert (P("12"), head) in [call[1:3] for call in calls]
+    assert (sigma, head) not in [call[1:3] for call in calls]
+    assert all(len(call[1].values) <= len(call[2].values) for call in calls)
+
+
 def test_prop_preconditions(engine):
     with pytest.raises(PreconditionViolation):
         engine.mobius_prop1(TWO_ONE, P("2143"))
@@ -365,21 +377,23 @@ def test_engine_results_do_not_depend_on_cache_state():
 
 
 def test_cached_auto_value_does_not_answer_for_another_engine(monkeypatch):
-    sigma, pi = P("21"), P("369258147")
+    # pi = 369258147 + 1: auto answers it by a component recursion (cor3),
+    # whose value the cache keeps
+    sigma, pi = P("21"), direct_sum(P("369258147"), ONE)
     with pytest.raises(NotAnOscillation):
         MobiusEngine().mobius(sigma, pi, engine="oscillation")
     warm = MobiusEngine()
-    assert warm.mobius(sigma, pi) == -6
+    assert warm.mobius(sigma, pi) == 6
     with pytest.raises(NotAnOscillation):
         warm.mobius(sigma, pi, engine="oscillation")
     # the explicit query reads no auto-keyed entry and keeps its own value
     # under its own engine
     auto_key = (sigma.values, pi.values, "auto")
-    assert warm.cache.get(auto_key) == -6
+    assert warm.cache.get(auto_key) == 6
     gets = _count_calls(monkeypatch, MobiusCache, "get")
-    assert warm.mobius(sigma, pi, engine="general") == -6
+    assert warm.mobius(sigma, pi, engine="general") == 6
     assert gets and all(key[2] == "general" for _, key in gets)
-    assert warm.cache.get((sigma.values, pi.values, "general")) == -6
+    assert warm.cache.get((sigma.values, pi.values, "general")) == 6
 
 
 def test_tiny_cache_budget_still_computes_correct_values(monkeypatch):
@@ -542,6 +556,8 @@ def _count_every_binding(monkeypatch, original) -> list:
 
 
 def test_an_auto_oscillation_query_classifies_each_bound_once(monkeypatch):
+    # W_9's decomposition keeps its id once looked up; start without it
+    perms._decomposition.cache_clear()
     sigma, w9 = P("3142"), OscillationId("W", 9)
     expected = mobius_oscillation(sigma, w9)  # warms the memo
     # oscillation_id is the one oscillation classifier
@@ -812,6 +828,29 @@ def test_no_table_keeps_a_context_past_the_context_cache():
         if isinstance(obj, poset.DownsetContext) and obj.pi.values in built
     ]
     assert len(alive) == 0
+
+
+def test_a_crosscheck_pass_builds_each_context_once_and_caches_no_oracle_value(
+    monkeypatch,
+):
+    # one engine against the oracle's column of every pi with |pi| <= 6
+    poset._downset_ctx.cache_clear()
+    builds = _count_calls(monkeypatch, poset.DownsetContext, "__init__")
+    engine = MobiusEngine()
+    pis = [Permutation(pv) for n in range(1, 7) for pv in all_perm_tuples(n)]
+    for pi in pis:
+        for sigma, expected in mobius_naive_column(pi).items():
+            assert engine.mobius(sigma, pi) == expected, (sigma, pi)
+    # no context for a component asked about a sigma part it does not hold
+    assert len(pis) == 873
+    assert sorted(pi.values for _, pi in builds) == sorted(pi.values for pi in pis)
+    assert poset._downset_ctx.cache_info().currsize == 873
+    # the oracle's values stay in the contexts
+    routes = {
+        engine_module._query_route(Permutation(s), Permutation(p), name)[0]
+        for s, p, name in engine.cache._entries
+    }
+    assert routes and "naive" not in routes
 
 
 def test_a_general_query_leaves_only_the_cache_and_stats_on_the_engine():

@@ -209,6 +209,23 @@ def test_every_prefix_and_suffix_matches_a_plain_reference():
                     assert dec.suffix(i).values == _sum_ref(comps[i:])
 
 
+def test_a_decomposition_keeps_the_facts_the_dispatcher_asks_of_pi():
+    # the longest component, the run of components equal to the first, and
+    # a sum-indecomposable permutation's oscillation id
+    for n in range(8):
+        for vals in all_perm_tuples(n):
+            dec = sum_decompose(Permutation(vals))
+            comps = sum_components_ref(vals)
+            assert dec.longest == max(map(len, comps), default=0)
+            lead = 0
+            while lead < len(comps) and comps[lead] == comps[0]:
+                lead += 1
+            assert dec.lead == lead
+            assert dec.oscillation == (
+                _oscillation_id_ref(vals) if len(comps) == 1 else None
+            )
+
+
 def test_the_decomposition_store_is_bounded_and_empty_at_import():
     code = (
         "import permmobius; from permmobius import perms; "

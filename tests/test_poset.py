@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
 
@@ -34,6 +35,8 @@ from permmobius.engine import _query_route
 from permmobius.poset import DownsetContext
 
 from helpers import all_perm_tuples, contains_ref, downset_ref, mobius_ref
+
+P = parse_permutation
 
 small_perm = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.permutations(range(1, n + 1)).map(tuple)
@@ -388,6 +391,84 @@ def test_w15_order_is_packed_and_its_build_holds_no_dense_matrix():
     assert m == 3142
     assert ctx.bits.nbytes == m * ((m + 7) // 8)
     assert peak < m * m
+
+
+# ----------------------------------------------------------- context store
+
+
+def test_the_context_store_counts_the_bytes_its_contexts_hold():
+    # contexts with their columns, a third of them with the general
+    # engine's table too
+    rng = random.Random(11)
+    pis = []
+    for n, count in ((5, 40), (6, 40), (7, 40), (9, 4), (11, 3)):
+        for _ in range(count):
+            values = list(range(1, n + 1))
+            rng.shuffle(values)
+            pis.append(Permutation(values))
+    pis.append(oscillation(OscillationId("W", 15)))
+    engine = MobiusEngine()
+    poset._downset_ctx.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for i, pi in enumerate(pis):
+            poset._downset_ctx(pi).column()
+            if i % 3 == 0:
+                engine._table(pi)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    info = poset._downset_ctx.cache_info()
+    assert info.currsize == len({pi.values for pi in pis})
+    assert 0.8 < info.bytes / held < 1.25
+
+
+def test_the_context_store_evicts_least_recently_used_first_within_its_budget(
+    monkeypatch,
+):
+    pis = [Permutation(pv) for pv in all_perm_tuples(6)][::45]
+    poset._downset_ctx.cache_clear()
+    columns = {pi: mobius_naive_column(pi) for pi in pis}
+    cost = max(DownsetContext(pi).nbytes() for pi in pis)
+    budget = 4 * cost
+    monkeypatch.setattr(poset, "_CONTEXT_BYTES", budget)
+    poset._downset_ctx.cache_clear()
+    rng = random.Random(5)
+    recent: list[tuple[int, ...]] = []
+    evicted = 0
+    for pi in rng.choices(pis, k=300):
+        assert mobius_naive_column(pi) == columns[pi]
+        recent = [key for key in recent if key != pi.values] + [pi.values]
+        info = poset._downset_ctx.cache_info()
+        kept = list(poset._contexts.entries)
+        assert kept == recent[len(recent) - len(kept) :]
+        assert info.bytes == sum(ctx.nbytes() for ctx in poset._contexts.entries.values())
+        assert info.bytes <= budget
+        evicted = max(evicted, len(recent) - len(kept))
+    assert evicted > 0 and 2 <= info.currsize < len(pis)
+
+
+def test_the_context_store_keeps_the_lru_read_interface(monkeypatch):
+    # bench/child.py and bench/tracer.py read these counts, and compare the
+    # wrapped lookups with hits + misses
+    poset._downset_ctx.cache_clear()
+    info = poset._downset_ctx.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    lookups = [P("3142"), P("2413"), P("3142"), P("3142"), P("1"), P("2413")]
+    for count, pi in enumerate(lookups, start=1):
+        poset._downset_ctx(pi)
+        info = poset._downset_ctx.cache_info()
+        assert info.hits + info.misses == count
+    assert (info.hits, info.misses, info.currsize) == (3, 3, 3)
+    # a refused build is one miss, and keeps nothing
+    monkeypatch.setattr(poset, "MAX_DOWNSET_MEMBERS", 8)
+    with pytest.raises(TooLarge):
+        poset._downset_ctx(P("25314"))
+    info = poset._downset_ctx.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 4, 3)
+    poset._downset_ctx.cache_clear()
+    assert poset._downset_ctx.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------- interval
